@@ -32,7 +32,8 @@ from .seqmodels import (
     rnn_predict_sequence,
     rnn_train,
 )
-from .seqmodels.hsmm import hsmm_posteriors
+from .seqmodels.hmm import hmm_viterbi_batch
+from .seqmodels.hsmm import hsmm_posteriors, hsmm_viterbi_batch
 from .seqmodels.state_map import apply_state_map
 
 SEQ_MODELS = ("knn", "hmm", "hsmm", "crf", "rnn")
@@ -177,16 +178,16 @@ def train_sequence_model(embed_fn, dataset: Dataset, config: PipelineConfig, see
         K = min(config.hmm_states, total)
         if kind == "hmm":
             model, _ = hmm_em_fit(all_embedded, K=K, iterations=config.em_iterations, seed=seed)
-            decode = lambda E: hmm_viterbi(model, E)[0]
+            decode = hmm_viterbi_batch
         else:
             model, _ = hsmm_em_fit(
                 all_embedded, K=K, iterations=config.em_iterations, seed=seed, d_max=config.d_max
             )
-            decode = lambda E: hsmm_viterbi(model, E)[0]
-        paths, labels = [], []
-        for demo in labeled:
-            paths.append(decode(embed_fn(demo.features)))
-            labels.append(demo.labels)
+            decode = hsmm_viterbi_batch
+        # labeled demos are a subset of dataset.demos, already embedded above
+        pairs = [(E, d.labels) for E, d in zip(all_embedded, dataset.demos) if d.labels is not None]
+        paths = decode(model, [E for E, _ in pairs])[0] if pairs else []
+        labels = [lab for _, lab in pairs]
         mapping = greedy_state_label_map(paths, labels)
         return SegmenterBundle(kind, model, state_map=mapping)
     raise ValueError(f"unknown sequence model {kind!r}")

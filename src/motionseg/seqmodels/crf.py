@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeError
-from .hmm import logsumexp
+from . import chain
 
 
 @dataclass
@@ -56,60 +56,29 @@ def crf_features(crf: LinearChainCrf, X) -> np.ndarray:
     return np.tanh(X @ crf.projection.T)
 
 
-def _scores(crf, X):
-    return crf_features(crf, X) @ crf.unary.T  # (T, C)
+def _batch(crf, sequences):
+    """Features (F, E), padded label scores (N, T, C) and lengths of stacked sequences."""
+    X, lengths = chain.stack(sequences)
+    feats = crf_features(crf, X)
+    return feats, chain.pad(feats @ crf.unary.T, lengths), lengths
 
 
 def crf_log_partition(crf: LinearChainCrf, X) -> float:
     """Log normalizer over all label paths, by the forward recursion."""
-    scores = _scores(crf, X)
-    return _log_partition_from_scores(scores, crf.transitions)
-
-
-def _log_partition_from_scores(scores, transitions) -> float:
-    T = scores.shape[0]
-    if T == 0:
-        raise ValueError("empty sequence")
-    alpha = scores[0].copy()
-    for t in range(1, T):
-        alpha = scores[t] + logsumexp(alpha[:, None] + transitions, axis=0)
-    return float(logsumexp(alpha))
+    _, scores, lengths = _batch(crf, [X])
+    return float(chain.forward_backward(scores, crf.transitions, lengths)[2][0])
 
 
 def crf_viterbi(crf: LinearChainCrf, X) -> np.ndarray:
     """Most probable label path (labels 1..C)."""
-    scores = _scores(crf, X)
-    T, C = scores.shape
-    if T == 0:
-        raise ValueError("empty sequence")
-    delta = scores[0].copy()
-    back = np.zeros((T, C), dtype=np.int64)
-    for t in range(1, T):
-        cand = delta[:, None] + crf.transitions
-        back[t] = np.argmax(cand, axis=0)
-        delta = cand[back[t], np.arange(C)] + scores[t]
-    path = np.empty(T, dtype=np.int64)
-    path[T - 1] = int(np.argmax(delta))
-    for t in range(T - 2, -1, -1):
-        path[t] = back[t + 1][path[t + 1]]
-    return path + 1
+    _, scores, lengths = _batch(crf, [X])
+    return chain.viterbi(scores, crf.transitions, lengths)[0][0] + 1
 
 
 def crf_marginals(crf: LinearChainCrf, X) -> np.ndarray:
     """(T, C) per-frame label marginals (each row sums to 1)."""
-    scores = _scores(crf, X)
-    T, C = scores.shape
-    alpha = np.empty((T, C))
-    alpha[0] = scores[0]
-    for t in range(1, T):
-        alpha[t] = scores[t] + logsumexp(alpha[t - 1][:, None] + crf.transitions, axis=0)
-    beta = np.empty((T, C))
-    beta[T - 1] = 0.0
-    for t in range(T - 2, -1, -1):
-        beta[t] = logsumexp(crf.transitions + (scores[t + 1] + beta[t + 1])[None, :], axis=1)
-    logz = logsumexp(alpha[T - 1])
-    marg = np.exp(alpha + beta - logz)
-    return marg / marg.sum(axis=1, keepdims=True)
+    _, scores, lengths = _batch(crf, [X])
+    return chain.forward_backward(scores, crf.transitions, lengths)[0][0]
 
 
 def crf_loglik_and_grad(crf: LinearChainCrf, sequences):
@@ -118,44 +87,18 @@ def crf_loglik_and_grad(crf: LinearChainCrf, sequences):
     labels use 1..C. Returns (loglik, grad_unary, grad_transitions).
     """
     C = crf.num_labels
-    total = 0.0
-    g_unary = np.zeros_like(crf.unary)
-    g_trans = np.zeros_like(crf.transitions)
+    feats, scores, lengths = _batch(crf, [X for X, _ in sequences])
+    marg, pairs, logz = chain.forward_backward(scores, crf.transitions, lengths)
+    mask = chain.valid(lengths, scores.shape[1])
+    y = np.concatenate([np.asarray(labels, dtype=np.int64) for _, labels in sequences]) - 1
+    inner = np.ones(y.shape[0], dtype=bool)  # frame i and i+1 belong to one sequence
+    inner[np.cumsum(lengths) - 1] = False
+    y_prev, y_next = y[inner], y[np.roll(inner, 1)]
+    gold = scores[mask][np.arange(y.shape[0]), y].sum() + crf.transitions[y_prev, y_next].sum()
+    g_unary = (np.eye(C)[y] - marg[mask]).T @ feats
+    g_trans = np.bincount(y_prev * C + y_next, minlength=C * C).reshape(C, C) - pairs
     n_seq = len(sequences)
-    for X, labels in sequences:
-        feats = crf_features(crf, X)
-        scores = feats @ crf.unary.T
-        y = np.asarray(labels, dtype=np.int64) - 1
-        T = scores.shape[0]
-        if T == 0:
-            raise ValueError("empty sequence")
-        # forward/backward for expectations
-        alpha = np.empty((T, C))
-        alpha[0] = scores[0]
-        for t in range(1, T):
-            alpha[t] = scores[t] + logsumexp(alpha[t - 1][:, None] + crf.transitions, axis=0)
-        beta = np.empty((T, C))
-        beta[T - 1] = 0.0
-        for t in range(T - 2, -1, -1):
-            beta[t] = logsumexp(crf.transitions + (scores[t + 1] + beta[t + 1])[None, :], axis=1)
-        logz = float(logsumexp(alpha[T - 1]))
-        marg = np.exp(alpha + beta - logz)
-        marg /= marg.sum(axis=1, keepdims=True)
-
-        gold = float(scores[np.arange(T), y].sum() + crf.transitions[y[:-1], y[1:]].sum())
-        total += gold - logz
-
-        onehot = np.zeros((T, C))
-        onehot[np.arange(T), y] = 1.0
-        g_unary += (onehot - marg).T @ feats
-        for t in range(T - 1):
-            pair = np.exp(
-                alpha[t][:, None] + crf.transitions + (scores[t + 1] + beta[t + 1])[None, :] - logz
-            )
-            pair /= pair.sum()
-            g_trans -= pair
-        np.add.at(g_trans, (y[:-1], y[1:]), 1.0)
-    return total / n_seq, g_unary / n_seq, g_trans / n_seq
+    return float(gold - logz.sum()) / n_seq, g_unary / n_seq, g_trans / n_seq
 
 
 def crf_train(

@@ -1,7 +1,8 @@
-"""Gaussian hidden Markov model: log-space inference and EM fitting.
+"""Gaussian hidden Markov model: batched log-space inference and EM fitting.
 
-All dynamic programming runs in log space. Covariances carry a small
-diagonal floor so EM never degenerates on tight clusters.
+Inference and the E-step run through the shared chain kernel
+(``chain.py``), batched over sequences. Covariances carry a small diagonal
+floor so EM never degenerates on tight clusters.
 """
 
 from __future__ import annotations
@@ -11,16 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ModelInvalidError, ShapeError
-
-LOG_EPS = -1e300  # stand-in for log(0) that survives arithmetic
-
-
-def logsumexp(a, axis=None):
-    a = np.asarray(a, dtype=np.float64)
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
-    return out
+from . import chain
+from .chain import log_clip, logsumexp  # noqa: F401  (logsumexp is re-exported)
 
 
 @dataclass
@@ -50,79 +43,56 @@ class GaussianHmm:
         return self.means.shape[1]
 
 
-def gaussian_logpdf(X, mean, cov) -> np.ndarray:
-    """Log density of rows of X under N(mean, cov)."""
+def _gaussian_logpdfs(X, means, covs) -> np.ndarray:
+    """(F, K) log densities of the rows of X under each N(means[k], covs[k])."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     d = X.shape[1]
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
-        raise ModelInvalidError("covariance is not positive definite")
-    diff = X - mean
-    maha = np.sum(diff @ np.linalg.inv(cov) * diff, axis=1)
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
+    try:
+        chol = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        raise ModelInvalidError("covariance is not positive definite") from None
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    whiten = np.linalg.inv(chol)
+    out = np.empty((X.shape[0], len(covs)))
+    diff, z = np.empty_like(X), np.empty_like(X)  # reused: one (F, d) pair for all states
+    for k, W in enumerate(whiten):
+        np.matmul(np.subtract(X, means[k], out=diff), W.T, out=z)
+        out[:, k] = np.einsum("ij,ij->i", z, z)
+    out += d * np.log(2.0 * np.pi) + logdet
+    return np.multiply(out, -0.5, out=out)
 
 
-def emission_log_probs(hmm: GaussianHmm, X) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return np.stack(
-        [gaussian_logpdf(X, hmm.means[k], hmm.covs[k]) for k in range(hmm.n_states)], axis=1
-    )
+def gaussian_logpdf(X, mean, cov) -> np.ndarray:
+    """Log density of rows of X under N(mean, cov)."""
+    return _gaussian_logpdfs(X, np.atleast_2d(mean), np.asarray(cov)[None])[:, 0]
 
 
-def _log_clip(p):
-    out = np.full(p.shape, LOG_EPS)
-    np.log(p, out=out, where=p > 0)
-    return out
+def emission_log_probs(model, X) -> np.ndarray:
+    """(T, K) emission log densities under the model's Gaussian states (HMM or HSMM)."""
+    return _gaussian_logpdfs(X, model.means, model.covs)
+
+
+def _chain_args(hmm: GaussianHmm, X, lengths):
+    """Chain-kernel arguments for the sequences stacked in X (F, d)."""
+    logb = chain.pad(emission_log_probs(hmm, X), lengths)
+    return logb, log_clip(hmm.A), lengths, log_clip(hmm.pi)
 
 
 def hmm_forward_backward(hmm: GaussianHmm, X) -> tuple[np.ndarray, float]:
     """Per-frame state posteriors (each row sums to 1) and total log-likelihood."""
-    logb = emission_log_probs(hmm, X)
-    gamma, loglik, _, _ = _forward_backward_from_logb(hmm, logb)
-    return gamma, loglik
+    gamma, _, logz = chain.forward_backward(*_chain_args(hmm, *chain.stack([X])))
+    return gamma[0], float(logz[0])
 
 
-def _forward_backward_from_logb(hmm, logb):
-    T, K = logb.shape
-    if T == 0:
-        raise ValueError("empty sequence")
-    log_pi = _log_clip(hmm.pi)
-    log_A = _log_clip(hmm.A)
-    la = np.empty((T, K))
-    la[0] = log_pi + logb[0]
-    for t in range(1, T):
-        la[t] = logb[t] + logsumexp(la[t - 1][:, None] + log_A, axis=0)
-    loglik = float(logsumexp(la[T - 1]))
-    lb = np.empty((T, K))
-    lb[T - 1] = 0.0
-    for t in range(T - 2, -1, -1):
-        lb[t] = logsumexp(log_A + (logb[t + 1] + lb[t + 1])[None, :], axis=1)
-    lg = la + lb - loglik
-    gamma = np.exp(lg)
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    return gamma, loglik, la, lb
+def hmm_viterbi_batch(hmm: GaussianHmm, sequences) -> tuple[list, np.ndarray]:
+    """Most probable state path of each sequence and their joint log-probabilities."""
+    return chain.viterbi(*_chain_args(hmm, *chain.stack(sequences)))
 
 
 def hmm_viterbi(hmm: GaussianHmm, X) -> tuple[np.ndarray, float]:
     """Most probable state path and its joint log-probability."""
-    logb = emission_log_probs(hmm, X)
-    return _viterbi_from_logb(_log_clip(hmm.pi), _log_clip(hmm.A), logb)
-
-
-def _viterbi_from_logb(log_pi, log_A, logb):
-    T, K = logb.shape
-    delta = log_pi + logb[0]
-    back = np.zeros((T, K), dtype=np.int64)
-    for t in range(1, T):
-        scores = delta[:, None] + log_A
-        back[t] = np.argmax(scores, axis=0)
-        delta = scores[back[t], np.arange(K)] + logb[t]
-    path = np.empty(T, dtype=np.int64)
-    path[T - 1] = int(np.argmax(delta))
-    best = float(delta[path[T - 1]])
-    for t in range(T - 2, -1, -1):
-        path[t] = back[t + 1][path[t + 1]]
-    return path, best
+    paths, best = hmm_viterbi_batch(hmm, [X])
+    return paths[0], float(best[0])
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +133,17 @@ def _regularize(cov, min_covar, diagonal):
     return cov + min_covar * np.eye(cov.shape[0])
 
 
+def gaussian_m_step(X, g, min_covar, diagonal):
+    """Means and floored covariances of frames X (F, d) under state weights g (F, K)."""
+    occ = np.maximum(g.sum(axis=0), 1e-300)
+    means = (g.T @ X) / occ[:, None]
+    covs = []
+    for k in range(g.shape[1]):
+        diff = X - means[k]
+        covs.append(_regularize((diff * g[:, k, None]).T @ diff / occ[k], min_covar, diagonal))
+    return means, np.stack(covs)
+
+
 def init_gaussian_hmm(sequences, K, seed, min_covar=1e-4, diagonal=False) -> GaussianHmm:
     """k-means++ means, pooled covariance, uniform initial/transition terms."""
     pooled = np.vstack([np.atleast_2d(s) for s in sequences])
@@ -200,41 +181,18 @@ def hmm_em_fit(
         raise ValueError("no training frames")
     hmm = init if init is not None else init_gaussian_hmm(seqs, K, seed, min_covar, diagonal)
     K = hmm.n_states
-    d = hmm.dim
+    X, lengths = chain.stack(seqs)
     trace = []
     for _ in range(int(iterations)):
-        loglik = 0.0
-        occ = np.zeros(K)
-        first = np.zeros(K)
-        xi = np.zeros((K, K))
-        mean_acc = np.zeros((K, d))
-        cov_acc = np.zeros((K, d, d))
-        log_A = _log_clip(hmm.A)
-        frames = []
-        gammas = []
-        for X in seqs:
-            logb = emission_log_probs(hmm, X)
-            gamma, ll, la, lb = _forward_backward_from_logb(hmm, logb)
-            loglik += ll
-            occ += gamma.sum(axis=0)
-            first += gamma[0]
-            for t in range(X.shape[0] - 1):
-                log_xi = la[t][:, None] + log_A + (logb[t + 1] + lb[t + 1])[None, :] - ll
-                xi += np.exp(log_xi)
-            mean_acc += gamma.T @ X
-            frames.append(X)
-            gammas.append(gamma)
-        trace.append(loglik)
-        means = mean_acc / np.maximum(occ, 1e-300)[:, None]
-        for X, gamma in zip(frames, gammas):
-            diff = X[:, None, :] - means[None, :, :]
-            cov_acc += np.einsum("tk,tki,tkj->kij", gamma, diff, diff)
-        covs = cov_acc / np.maximum(occ, 1e-300)[:, None, None]
-        covs = np.stack([_regularize(covs[k], min_covar, diagonal) for k in range(K)])
+        gamma, xi, logz = chain.forward_backward(*_chain_args(hmm, X, lengths))
+        trace.append(float(logz.sum()))
+        first = gamma[:, 0].sum(axis=0)
+        means, covs = gaussian_m_step(X, gamma[chain.valid(lengths, gamma.shape[1])], min_covar, diagonal)
+        del gamma  # frees the posteriors before the next E-step allocates its own
         pi = first / first.sum()
         row = xi.sum(axis=1)
         A = np.where(row[:, None] > 0, xi / np.maximum(row, 1e-300)[:, None], 1.0 / K)
         A /= A.sum(axis=1, keepdims=True)
         hmm = GaussianHmm(pi=pi, A=A, means=means, covs=covs)
-    trace.append(sum(hmm_forward_backward(hmm, X)[1] for X in seqs))
+    trace.append(float(chain.forward_backward(*_chain_args(hmm, X, lengths))[2].sum()))
     return hmm, trace

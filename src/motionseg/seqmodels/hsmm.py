@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ModelInvalidError, ShapeError
-from .hmm import _log_clip, _regularize, init_gaussian_hmm, logsumexp
+from . import chain
+from .chain import LOG_EPS, logsumexp
+from .hmm import emission_log_probs, gaussian_m_step, init_gaussian_hmm
 
 
 @dataclass
@@ -57,105 +59,131 @@ def duration_log_pmf(lambdas, d_max: int) -> np.ndarray:
     return logits - logsumexp(logits, axis=1)[:, None]
 
 
-def _trunc_poisson_mean(lam: float, d_max: int) -> float:
-    logp = duration_log_pmf(np.asarray([lam]), d_max)[0]
-    return float(np.exp(logp) @ np.arange(1, d_max + 1))
-
-
-def fit_truncated_poisson(target_mean: float, d_max: int) -> float:
-    """Rate whose truncated-Poisson mean matches target_mean (monotone bisection)."""
-    if d_max == 1 or target_mean <= 1.0 + 1e-9:
-        return 1e-3
-    if target_mean >= d_max - 1e-9:
-        return float(10 * d_max)
-    lo, hi = np.log(1e-3), np.log(50.0 * d_max)
+def fit_truncated_poisson(target_mean, d_max: int):
+    """Rate(s) whose truncated-Poisson mean matches target_mean (one shared bisection)."""
+    target = np.atleast_1d(np.asarray(target_mean, dtype=np.float64))
+    lo, hi = np.full(target.shape, np.log(1e-3)), np.full(target.shape, np.log(50.0 * d_max))
+    durations = np.arange(1, d_max + 1)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _trunc_poisson_mean(np.exp(mid), d_max) < target_mean:
-            lo = mid
-        else:
-            hi = mid
-    return float(np.exp(0.5 * (lo + hi)))
+        below = np.exp(duration_log_pmf(np.exp(mid), d_max)) @ durations < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    lam = np.where(target >= d_max - 1e-9, 10.0 * d_max, np.exp(0.5 * (lo + hi)))
+    lam = np.where((d_max == 1) | (target <= 1.0 + 1e-9), 1e-3, lam)
+    return lam if np.ndim(target_mean) else float(lam[0])
 
 
-def _emissions(hsmm: Hsmm, X) -> np.ndarray:
-    from .hmm import gaussian_logpdf
-
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return np.stack(
-        [gaussian_logpdf(X, hsmm.means[k], hsmm.covs[k]) for k in range(hsmm.n_states)],
-        axis=1,
-    )
+_emissions = emission_log_probs
 
 
-def _forward(log_pi, log_A, log_dur, cumb):
-    """Segment-end scores ls (T, K) and inflow table trans_in (T+1, K)."""
-    T, K = cumb.shape[0] - 1, cumb.shape[1]
-    D = log_dur.shape[1]
-    ls = np.empty((T, K))
-    trans_in = np.empty((T + 1, K))
-    trans_in[0] = log_pi
-    for t in range(T):
-        dmax = min(D, t + 1)
-        ds = np.arange(1, dmax + 1)
-        starts = t - ds + 1
-        vals = trans_in[starts] + log_dur[:, ds - 1].T + (cumb[t + 1][None, :] - cumb[starts])
-        ls[t] = logsumexp(vals, axis=0)
-        if t + 1 <= T - 1:
-            trans_in[t + 1] = logsumexp(ls[t][:, None] + log_A, axis=0)
-    return ls, trans_in
+def _segment_scores(hsmm: Hsmm, X, lengths):
+    """Padded emission prefix sums (N, T+1, K), log duration pmf, log pi, log A."""
+    logb = chain.pad(emission_log_probs(hsmm, X), lengths)
+    cumb = np.zeros((logb.shape[0], logb.shape[1] + 1, logb.shape[2]))
+    np.cumsum(logb, axis=1, out=cumb[:, 1:])
+    log_dur = duration_log_pmf(hsmm.lambdas, hsmm.d_max)
+    return cumb, log_dur, chain.log_clip(hsmm.pi), chain.log_clip(hsmm.A)
 
 
 def hsmm_loglik(hsmm: Hsmm, X) -> float:
     """Total log-likelihood of a sequence (sum over all segmentations)."""
-    logb = _emissions(hsmm, X)
-    T, K = logb.shape
-    cumb = np.vstack([np.zeros(K), np.cumsum(logb, axis=0)])
-    log_dur = duration_log_pmf(hsmm.lambdas, hsmm.d_max)
-    ls, _ = _forward(_log_clip(hsmm.pi), _log_clip(hsmm.A), log_dur, cumb)
-    return float(logsumexp(ls[T - 1]))
+    return float(_posteriors(hsmm, *chain.stack([X]))[0][0])
+
+
+def hsmm_viterbi_batch(hsmm: Hsmm, sequences) -> tuple[list, np.ndarray]:
+    """Most probable segmentation of each sequence: (per-frame state paths, log scores)."""
+    X, lengths = chain.stack(sequences)
+    cumb, log_dur, log_pi, log_A = _segment_scores(hsmm, X, lengths)
+    N, T, K = cumb.shape[0], cumb.shape[1] - 1, cumb.shape[2]
+    final = np.empty((N, K))  # best score of a segment of k ending each sequence
+    best_in = np.empty((N, T + 1, K))
+    prev_state = np.zeros((N, T + 1, K), dtype=np.int32)
+    best_dur = np.zeros((N, T, K), dtype=np.int32)
+    best_in[:, 0] = log_pi
+    for t in range(T):
+        ds = np.arange(1, min(hsmm.d_max, t + 1) + 1)
+        starts = t - ds + 1
+        vals = best_in[:, starts] + log_dur[:, ds - 1].T + (cumb[:, t + 1, None] - cumb[:, starts])
+        pick, vs = vals.argmax(axis=1), vals.max(axis=1)
+        final[t == lengths - 1] = vs[t == lengths - 1]
+        best_dur[:, t] = ds[pick]
+        scores = vs[:, :, None] + log_A
+        prev_state[:, t + 1] = scores.argmax(axis=1)
+        best_in[:, t + 1] = scores.max(axis=1)
+
+    paths = []
+    for n, length in enumerate(lengths):
+        path = np.empty(length, dtype=np.int64)
+        k, t = int(np.argmax(final[n])), length - 1
+        while t >= 0:
+            s = t - int(best_dur[n, t, k]) + 1
+            path[s : t + 1] = k
+            k = int(prev_state[n, s, k])  # unused once s == 0
+            t = s - 1
+        paths.append(path)
+    return paths, final.max(axis=1)
 
 
 def hsmm_viterbi(hsmm: Hsmm, X) -> tuple[np.ndarray, float]:
     """Most probable segmentation; returns (per-frame state path, log score)."""
-    logb = _emissions(hsmm, X)
-    T, K = logb.shape
-    cumb = np.vstack([np.zeros(K), np.cumsum(logb, axis=0)])
-    log_dur = duration_log_pmf(hsmm.lambdas, hsmm.d_max)
-    log_pi = _log_clip(hsmm.pi)
-    log_A = _log_clip(hsmm.A)
-    D = log_dur.shape[1]
+    paths, best = hsmm_viterbi_batch(hsmm, [X])
+    return paths[0], float(best[0])
 
-    vs = np.empty((T, K))
-    best_in = np.empty((T + 1, K))
-    prev_state = np.zeros((T + 1, K), dtype=np.int64)
-    best_dur = np.zeros((T, K), dtype=np.int64)
-    best_in[0] = log_pi
+
+def _posteriors(hsmm: Hsmm, X, lengths):
+    """Batched E-step over the sequences stacked in X: logliks (N,), gamma
+    (N, T, K), and xi (K, K), rho (K,), dur_counts (K, d_max) summed over them."""
+    cumb, log_dur, log_pi, log_A = _segment_scores(hsmm, X, lengths)
+    N, T, K = cumb.shape[0], cumb.shape[1] - 1, cumb.shape[2]
+    D = min(hsmm.d_max, T)
+    last = lengths - 1
+    # A segment [s, e] scores head[:, s] + log_dur + tail[:, e]: the path up to s
+    # less cumb[:, s], and the rest after e plus cumb[:, e + 1].
+    step = chain.Step(log_A)
+    rev_dur = log_dur[:, D - 1 :: -1].T  # (D, K), row i is duration D - i
+    ls = np.empty((N, T, K))  # a segment of k ends at t
+    head = np.empty((N, T, K))
+    head[:, 0] = log_pi
     for t in range(T):
-        dmax = min(D, t + 1)
-        ds = np.arange(1, dmax + 1)
-        starts = t - ds + 1
-        vals = best_in[starts] + log_dur[:, ds - 1].T + (cumb[t + 1][None, :] - cumb[starts])
-        pick = np.argmax(vals, axis=0)
-        vs[t] = vals[pick, np.arange(K)]
-        best_dur[t] = ds[pick]
-        if t + 1 <= T - 1:
-            scores = vs[t][:, None] + log_A
-            prev_state[t + 1] = np.argmax(scores, axis=0)
-            best_in[t + 1] = scores[prev_state[t + 1], np.arange(K)]
+        lo = max(0, t - D + 1)
+        vals = head[:, lo : t + 1] + rev_dur[D - (t + 1 - lo) :] + cumb[:, t + 1, None]
+        ls[:, t] = logsumexp(vals, axis=1)
+        if t + 1 < T:
+            head[:, t + 1] = step(ls[:, t]) - cumb[:, t + 1]
+    loglik = logsumexp(ls[np.arange(N), last], axis=1)
 
-    path = np.empty(T, dtype=np.int64)
-    k = int(np.argmax(vs[T - 1]))
-    score = float(vs[T - 1, k])
-    t = T - 1
-    while t >= 0:
-        d = int(best_dur[t, k])
-        path[t - d + 1 : t + 1] = k
-        s = t - d + 1
-        if s > 0:
-            k = int(prev_state[s, k])
-        t = s - 1
-    return path, score
+    # backward; the posteriors of the segments starting at t add to dur_counts
+    # and to the start posteriors, which overwrite head[:, t] once it is used
+    back = chain.Step(log_A.T)
+    tail = np.empty((N, T, K))
+    dur_counts = np.zeros((K, hsmm.d_max))
+    starts, rest = head, np.zeros((N, K))
+    for t in range(T - 1, -1, -1):
+        edge = np.where(t == last, 0.0, LOG_EPS)[:, None]  # log 0 past the end
+        tail[:, t] = cumb[:, t + 1] + np.where((t < last)[:, None], rest, edge)
+        n = min(D, T - t)
+        vals = tail[:, t : t + n] + log_dur[:, :n].T
+        m = vals.max(axis=1)
+        w = np.exp(vals - m[:, None])
+        total = w.sum(axis=1)
+        scale = np.exp(m + head[:, t] - loglik[:, None])
+        dur_counts[:, :n] += np.einsum("ndk,nk->kd", w, scale)
+        starts[:, t] = total * scale
+        rest = back(np.log(total) + m - cumb[:, t])
+    # P(k at t) = P(a segment of k started by t) - P(one ended before t); the
+    # (N, T, K) tables are the largest arrays of a fit, so they are reused in place
+    tail += ls
+    tail -= cumb[:, 1:]
+    tail -= loglik[:, None, None]
+    ends = np.exp(tail, out=tail)
+    del cumb
+    xi = chain.pair_sum(ls, starts, step)
+    rho = starts[:, 0].sum(axis=0)
+    gamma = np.cumsum(starts, axis=1, out=starts)
+    gamma[:, 1:] -= np.cumsum(ends, axis=1, out=ends)[:, :-1]
+    np.maximum(gamma, 0.0, out=gamma)
+    gamma[~chain.valid(lengths, T)] = 0.0
+    return loglik, gamma, xi, rho, dur_counts
 
 
 def hsmm_posteriors(hsmm: Hsmm, X):
@@ -163,54 +191,8 @@ def hsmm_posteriors(hsmm: Hsmm, X):
 
     Returns (loglik, gamma (T,K), xi (K,K), rho (K,), dur_counts (K,D)).
     """
-    logb = _emissions(hsmm, X)
-    T, K = logb.shape
-    D = min(hsmm.d_max, T)
-    cumb = np.vstack([np.zeros(K), np.cumsum(logb, axis=0)])
-    log_dur = duration_log_pmf(hsmm.lambdas, hsmm.d_max)
-    log_pi = _log_clip(hsmm.pi)
-    log_A = _log_clip(hsmm.A)
-
-    ls, trans_in = _forward(log_pi, log_A, log_dur, cumb)
-    loglik = float(logsumexp(ls[T - 1]))
-
-    # backward: re[t, k] covers the rest of the sequence given state k starts at t
-    re = np.empty((T, K))
-    bstar = np.empty((T, K))  # segment ends at t in state k
-    bstar[T - 1] = 0.0
-    for t in range(T - 1, -1, -1):
-        dmax = min(D, T - t)
-        ds = np.arange(1, dmax + 1)
-        ends = t + ds - 1
-        vals = log_dur[:, ds - 1].T + (cumb[t + ds] - cumb[t][None, :]) + bstar[ends]
-        re[t] = logsumexp(vals, axis=0)
-        if t - 1 >= 0:
-            bstar[t - 1] = logsumexp(log_A + re[t][None, :], axis=1)
-
-    rho = np.exp(log_pi + re[0] - loglik)
-
-    dur_counts = np.zeros((K, hsmm.d_max))
-    cover = np.zeros((T + 1, K))
-    for d in range(1, D + 1):
-        starts = np.arange(0, T - d + 1)
-        ends = starts + d - 1
-        log_w = (
-            trans_in[starts]
-            + log_dur[:, d - 1][None, :]
-            + (cumb[ends + 1] - cumb[starts])
-            + bstar[ends]
-            - loglik
-        )
-        w = np.exp(np.maximum(log_w, -745.0))
-        dur_counts[:, d - 1] = w.sum(axis=0)
-        np.add.at(cover, starts, w)
-        np.add.at(cover, ends + 1, -w)
-    gamma = np.maximum(np.cumsum(cover[:T], axis=0), 0.0)
-
-    xi = np.zeros((K, K))
-    for s in range(1, T):
-        xi += np.exp(ls[s - 1][:, None] + log_A + re[s][None, :] - loglik)
-    return loglik, gamma, xi, rho, dur_counts
+    loglik, gamma, xi, rho, dur_counts = _posteriors(hsmm, *chain.stack([X]))
+    return float(loglik[0]), gamma[0], xi, rho, dur_counts
 
 
 def hsmm_em_fit(
@@ -240,34 +222,13 @@ def hsmm_em_fit(
             pi=base.pi, A=A, means=base.means, covs=base.covs,
             lambdas=np.full(K, lam0), d_max=d_max,
         )
-    d = hsmm.means.shape[1]
+    X, lengths = chain.stack(seqs)
     trace = []
     for _ in range(int(iterations)):
-        total_ll = 0.0
-        occ = np.zeros(K)
-        rho_acc = np.zeros(K)
-        xi_acc = np.zeros((K, K))
-        dur_acc = np.zeros((K, hsmm.d_max))
-        mean_acc = np.zeros((K, d))
-        gammas = []
-        for X in seqs:
-            ll, gamma, xi, rho, dur = hsmm_posteriors(hsmm, X)
-            total_ll += ll
-            occ += gamma.sum(axis=0)
-            rho_acc += rho
-            xi_acc += xi
-            dur_acc += dur
-            mean_acc += gamma.T @ X
-            gammas.append(gamma)
-        trace.append(total_ll)
-
-        means = mean_acc / np.maximum(occ, 1e-300)[:, None]
-        cov_acc = np.zeros((K, d, d))
-        for X, gamma in zip(seqs, gammas):
-            diff = X[:, None, :] - means[None, :, :]
-            cov_acc += np.einsum("tk,tki,tkj->kij", gamma, diff, diff)
-        covs = cov_acc / np.maximum(occ, 1e-300)[:, None, None]
-        covs = np.stack([_regularize(covs[k], min_covar, diagonal) for k in range(K)])
+        loglik, gamma, xi_acc, rho_acc, dur_acc = _posteriors(hsmm, X, lengths)
+        trace.append(float(loglik.sum()))
+        means, covs = gaussian_m_step(X, gamma[chain.valid(lengths, gamma.shape[1])], min_covar, diagonal)
+        del gamma  # frees the posteriors before the next E-step allocates its own
 
         pi = rho_acc / rho_acc.sum()
         np.fill_diagonal(xi_acc, 0.0)
@@ -282,14 +243,9 @@ def hsmm_em_fit(
         else:
             A = np.zeros((1, 1))
 
-        lambdas = np.empty(K)
-        dur_values = np.arange(1, hsmm.d_max + 1)
-        for k in range(K):
-            mass = dur_acc[k].sum()
-            if mass <= 1e-12:
-                lambdas[k] = hsmm.lambdas[k]
-            else:
-                lambdas[k] = fit_truncated_poisson(float(dur_acc[k] @ dur_values / mass), hsmm.d_max)
+        mass = dur_acc.sum(axis=1)
+        mean_dur = dur_acc @ np.arange(1, hsmm.d_max + 1) / np.maximum(mass, 1e-300)
+        lambdas = np.where(mass > 1e-12, fit_truncated_poisson(mean_dur, hsmm.d_max), hsmm.lambdas)
         hsmm = Hsmm(pi=pi, A=A, means=means, covs=covs, lambdas=lambdas, d_max=hsmm.d_max)
-    trace.append(sum(hsmm_loglik(hsmm, X) for X in seqs))
+    trace.append(float(_posteriors(hsmm, X, lengths)[0].sum()))
     return hsmm, trace

@@ -31,19 +31,27 @@ class KnnModel:
 
 
 def _vote(distances, labels, k):
-    order = np.lexsort((np.arange(distances.shape[0]), distances))[:k]
-    near_labels = labels[order]
-    near_dists = distances[order]
-    best_label, best_votes, best_sum = -1, -1, np.inf
-    for lab in np.unique(near_labels):
-        mask = near_labels == lab
-        votes = int(mask.sum())
-        dist_sum = float(near_dists[mask].sum())
-        if votes > best_votes or (
-            votes == best_votes and (dist_sum < best_sum or (dist_sum == best_sum and lab < best_label))
-        ):
-            best_label, best_votes, best_sum = int(lab), votes, dist_sum
-    return best_label, best_votes / k
+    """Labels and vote fractions for each row of (M, N) query-to-training distances."""
+    rows = np.arange(distances.shape[0])
+    near = np.argpartition(distances, k - 1, axis=1)[:, :k]
+    # argpartition splits ties at the k-th distance arbitrarily: rows with more
+    # points at that distance than places left rank the whole row by index
+    kth = np.take_along_axis(distances, near, axis=1).max(axis=1, keepdims=True)
+    for i in np.nonzero((distances <= kth).sum(axis=1) > k)[0]:
+        near[i] = np.lexsort((np.arange(distances.shape[1]), distances[i]))[:k]
+    order = np.lexsort((near, np.take_along_axis(distances, near, axis=1)), axis=1)
+    near = np.take_along_axis(near, order, axis=1)  # nearest first, by (distance, index)
+    near_d = np.take_along_axis(distances, near, axis=1)
+    classes, label_idx = np.unique(labels, return_inverse=True)
+    near_labels = label_idx[near]
+    votes = np.zeros((rows.shape[0], classes.shape[0]), dtype=np.int64)
+    dist_sum = np.zeros(votes.shape)
+    for j in range(k):  # summed nearest-first, as the tie-break defines
+        votes[rows, near_labels[:, j]] += 1
+        dist_sum[rows, near_labels[:, j]] += near_d[:, j]
+    # most votes, then smallest summed distance; the stable sort keeps the smaller label
+    pick = np.lexsort((dist_sum, -votes), axis=1)[:, 0]
+    return classes[pick], votes[rows, pick] / k
 
 
 def knn_predict(train_points, train_labels, query, k: int) -> int:
@@ -51,8 +59,8 @@ def knn_predict(train_points, train_labels, query, k: int) -> int:
     model = KnnModel(train_points, train_labels, k)
     q = np.asarray(query, dtype=np.float64)
     distances = np.linalg.norm(model.train_points - q, axis=1)
-    label, _ = _vote(distances, model.train_labels, model.k)
-    return label
+    labels, _ = _vote(distances[None, :], model.train_labels, model.k)
+    return int(labels[0])
 
 
 def knn_predict_batch(model: KnnModel, queries) -> tuple[np.ndarray, np.ndarray]:
@@ -63,9 +71,5 @@ def knn_predict_batch(model: KnnModel, queries) -> tuple[np.ndarray, np.ndarray]
         - 2.0 * Q @ model.train_points.T
         + np.sum(model.train_points**2, axis=1)
     )
-    distances = np.sqrt(np.maximum(d2, 0.0))
-    labels = np.empty(Q.shape[0], dtype=np.int64)
-    conf = np.empty(Q.shape[0])
-    for i in range(Q.shape[0]):
-        labels[i], conf[i] = _vote(distances[i], model.train_labels, model.k)
-    return labels, conf
+    distances = np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+    return _vote(distances, model.train_labels, model.k)

@@ -1,0 +1,258 @@
+"""The batched chain kernel against per-sequence loops and brute-force oracles."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from motionseg.numerics import finite_diff_check, pack_arrays, unpack_arrays
+from motionseg.seqmodels import chain
+from motionseg.seqmodels.crf import (
+    LinearChainCrf,
+    crf_features,
+    crf_log_partition,
+    crf_loglik_and_grad,
+    crf_marginals,
+    crf_viterbi,
+    new_crf,
+)
+from motionseg.seqmodels.hmm import (
+    GaussianHmm,
+    _chain_args,
+    hmm_em_fit,
+    hmm_forward_backward,
+    hmm_viterbi,
+    hmm_viterbi_batch,
+)
+from motionseg.seqmodels.hsmm import (
+    Hsmm,
+    _posteriors as hsmm_batch_posteriors,
+    hsmm_em_fit,
+    hsmm_loglik,
+    hsmm_posteriors,
+    hsmm_viterbi,
+    hsmm_viterbi_batch,
+)
+
+from test_crf import enumerate_paths, random_crf
+from test_hmm import enumerate_logliks, random_hmm, sample_hmm
+from test_hsmm import enumerate_segmentations, random_hsmm, sample_hsmm
+
+lse = chain.logsumexp
+ragged = st.lists(st.integers(1, 12), min_size=1, max_size=5)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def loop_forward_backward(unary, log_trans, log_init):
+    """One sequence, one timestep at a time, all in log space."""
+    T, K = unary.shape
+    la = np.empty((T, K))
+    la[0] = log_init + unary[0]
+    for t in range(1, T):
+        la[t] = unary[t] + lse(la[t - 1][:, None] + log_trans, axis=0)
+    logz = float(lse(la[T - 1]))
+    lb = np.zeros((T, K))
+    for t in range(T - 2, -1, -1):
+        lb[t] = lse(log_trans + (unary[t + 1] + lb[t + 1])[None, :], axis=1)
+    xi = np.zeros((K, K))
+    for t in range(T - 1):
+        xi += np.exp(la[t][:, None] + log_trans + (unary[t + 1] + lb[t + 1])[None, :] - logz)
+    return np.exp(la + lb - logz), xi, logz
+
+
+def loop_viterbi(unary, log_trans, log_init):
+    T, K = unary.shape
+    delta = log_init + unary[0]
+    back = np.zeros((T, K), dtype=np.int64)
+    for t in range(1, T):
+        scores = delta[:, None] + log_trans
+        back[t] = np.argmax(scores, axis=0)
+        delta = scores[back[t], np.arange(K)] + unary[t]
+    path = [int(np.argmax(delta))]
+    for t in range(T - 1, 0, -1):
+        path.append(int(back[t][path[-1]]))
+    return np.array(path[::-1]), float(delta.max())
+
+
+def random_chain(lengths, K, seed):
+    rng = np.random.default_rng(seed)
+    unary = [rng.normal(size=(n, K)) * 3.0 for n in lengths]
+    return unary, rng.normal(size=(K, K)), rng.normal(size=K)
+
+
+# more sequences than one pair_sum block holds
+MANY = [int(n) for n in np.random.default_rng(7).integers(1, 13, size=2 * chain.BLOCK + 3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(lengths=ragged, K=st.integers(1, 4), seed=seeds)
+@example(lengths=MANY, K=3, seed=1)
+def test_forward_backward_matches_per_sequence_loop(lengths, K, seed):
+    unary, log_trans, log_init = random_chain(lengths, K, seed)
+    gamma, xi, logz = chain.forward_backward(
+        chain.pad(np.vstack(unary), lengths), log_trans, lengths, log_init
+    )
+    xi_loop = np.zeros((K, K))
+    for n, u in enumerate(unary):
+        g, x, z = loop_forward_backward(u, log_trans, log_init)
+        np.testing.assert_allclose(gamma[n, : len(u)], g, atol=1e-10)
+        assert not gamma[n, len(u) :].any()
+        assert abs(logz[n] - z) < 1e-9 * max(1.0, abs(z))
+        xi_loop += x
+    np.testing.assert_allclose(xi, xi_loop, atol=1e-9)
+    assert abs(xi.sum() - sum(n - 1 for n in lengths)) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(lengths=ragged, K=st.integers(1, 4), seed=seeds)
+def test_viterbi_matches_per_sequence_loop(lengths, K, seed):
+    unary, log_trans, log_init = random_chain(lengths, K, seed)
+    paths, best = chain.viterbi(chain.pad(np.vstack(unary), lengths), log_trans, lengths, log_init)
+    for n, u in enumerate(unary):
+        path, score = loop_viterbi(u, log_trans, log_init)
+        np.testing.assert_array_equal(paths[n], path)
+        assert best[n] == score
+
+
+@settings(max_examples=40, deadline=None)
+@given(lengths=ragged, K=st.integers(2, 4), seed=seeds)
+@example(lengths=MANY, K=3, seed=2)
+def test_exact_where_shifted_messages_underflow(lengths, K, seed):
+    # unaries thousands of nats apart and forbidden transitions (log 0) make
+    # the shifted matrix products underflow; results must still match the loop
+    unary, log_trans, log_init = random_chain(lengths, K, seed)
+    rng = np.random.default_rng(seed)
+    unary = [u * 400.0 for u in unary]
+    forbidden = rng.random((K, K)) < 0.4
+    forbidden[np.arange(K), rng.integers(0, K, size=K)] = False
+    log_trans = np.where(forbidden, chain.LOG_EPS, log_trans)
+    padded = chain.pad(np.vstack(unary), lengths)
+    gamma, xi, logz = chain.forward_backward(padded, log_trans, lengths, log_init)
+    paths, best = chain.viterbi(padded, log_trans, lengths, log_init)
+    xi_loop = np.zeros((K, K))
+    for n, u in enumerate(unary):
+        g, x, z = loop_forward_backward(u, log_trans, log_init)
+        np.testing.assert_allclose(gamma[n, : len(u)], g, atol=1e-9)
+        assert abs(logz[n] - z) < 1e-9 * max(1.0, abs(z))
+        np.testing.assert_array_equal(paths[n], loop_viterbi(u, log_trans, log_init)[0])
+        xi_loop += x
+    np.testing.assert_allclose(xi, xi_loop, atol=1e-8)
+
+
+@settings(max_examples=15, deadline=None)
+@given(lengths=ragged, seed=seeds)
+def test_hmm_batch_matches_enumeration(lengths, seed):
+    rng = np.random.default_rng(seed)
+    hmm = random_hmm(K=2, d=2, rng=rng)
+    seqs = [rng.normal(size=(n, 2)) for n in lengths]
+    _, _, logz = chain.forward_backward(*_chain_args(hmm, *chain.stack(seqs)))
+    paths, best = hmm_viterbi_batch(hmm, seqs)
+    for n, X in enumerate(seqs):
+        total, best_score, best_path = enumerate_logliks(hmm, X)
+        assert abs(logz[n] - total) < 1e-9
+        assert abs(best[n] - best_score) < 1e-9
+        np.testing.assert_array_equal(paths[n], best_path)
+
+
+@settings(max_examples=15, deadline=None)
+@given(lengths=ragged, seed=seeds)
+def test_hsmm_batch_matches_enumeration(lengths, seed):
+    rng = np.random.default_rng(seed)
+    hsmm = random_hsmm(K=2, d=2, d_max=3, rng=rng)
+    seqs = [rng.normal(size=(n, 2)) for n in lengths]
+    loglik, gamma, xi, rho, dur = hsmm_batch_posteriors(hsmm, *chain.stack(seqs))
+    paths, best = hsmm_viterbi_batch(hsmm, seqs)
+    singles = [hsmm_posteriors(hsmm, X) for X in seqs]
+    for n, X in enumerate(seqs):
+        total, best_score, best_path = enumerate_segmentations(hsmm, X)
+        assert abs(loglik[n] - total) < 1e-9
+        assert abs(best[n] - best_score) < 1e-9
+        np.testing.assert_array_equal(paths[n], best_path)
+        np.testing.assert_allclose(gamma[n, : len(X)], singles[n][1], atol=1e-10)
+        np.testing.assert_allclose(gamma[n, : len(X)].sum(axis=1), 1.0, atol=1e-9)
+    for batched, parts in zip((xi, rho, dur), zip(*(s[2:] for s in singles))):
+        np.testing.assert_allclose(batched, sum(parts), atol=1e-9)
+
+
+@settings(max_examples=15, deadline=None)
+@given(lengths=ragged, seed=seeds)
+def test_crf_batch_matches_enumeration(lengths, seed):
+    rng = np.random.default_rng(seed)
+    crf = random_crf(C=2, d=2, E=4, rng=rng)
+    seqs = [rng.normal(size=(n, 2)) for n in lengths]
+    X, lens = chain.stack(seqs)
+    scores = chain.pad(crf_features(crf, X) @ crf.unary.T, lens)
+    marg, _, logz = chain.forward_backward(scores, crf.transitions, lens)
+    paths, _ = chain.viterbi(scores, crf.transitions, lens)
+    for n, X in enumerate(seqs):
+        total, _, best_path = enumerate_paths(crf, X)
+        assert abs(logz[n] - total) < 1e-9
+        np.testing.assert_array_equal(paths[n] + 1, best_path)
+        np.testing.assert_allclose(marg[n, : len(X)], crf_marginals(crf, X), atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_em_monotone_on_ragged_sequences(seed):
+    rng = np.random.default_rng(seed)
+    hmm = random_hmm(K=3, d=2, rng=rng)
+    seqs = [sample_hmm(hmm, int(n), rng)[0] for n in rng.integers(1, 60, size=5)]
+    _, trace = hmm_em_fit(seqs, K=3, iterations=10, seed=seed)
+    assert (np.diff(trace) >= -1e-6).all()
+    truth = Hsmm(
+        pi=[0.5, 0.5], A=[[0.0, 1.0], [1.0, 0.0]],
+        means=[[-2.0, 0.0], [2.0, 0.5]], covs=np.stack([np.eye(2) * 0.3] * 2),
+        lambdas=[4.0, 6.0], d_max=12,
+    )
+    seqs = [sample_hsmm(truth, int(n), rng) for n in rng.integers(1, 60, size=5)]
+    _, trace = hsmm_em_fit(seqs, K=2, iterations=10, seed=seed, d_max=12)
+    assert (np.diff(trace) >= -1e-6).all()
+
+
+def test_crf_gradient_on_ragged_sequences():
+    rng = np.random.default_rng(11)
+    C, d, E = 3, 2, 4
+    crf = random_crf(C, d, E, rng=rng)
+    sequences = [(rng.normal(size=(n, d)), rng.integers(1, C + 1, size=n)) for n in (1, 5, 2, 7)]
+    flat0, shapes = pack_arrays([crf.unary, crf.transitions])
+
+    def fn(flat):
+        unary, trans = unpack_arrays(flat, shapes)
+        trial = LinearChainCrf(projection=crf.projection, unary=unary, transitions=trans)
+        ll, gu, gt = crf_loglik_and_grad(trial, sequences)
+        return -ll, -pack_arrays([gu, gt])[0]
+
+    assert finite_diff_check(fn, flat0) < 1e-4
+
+
+EMPTY = np.zeros((0, 2))
+_HMM = GaussianHmm(pi=[0.5, 0.5], A=[[0.9, 0.1], [0.2, 0.8]],
+                   means=[[0.0, 0.0], [1.0, 1.0]], covs=np.stack([np.eye(2)] * 2))
+_HSMM = Hsmm(pi=[0.5, 0.5], A=[[0.0, 1.0], [1.0, 0.0]], means=_HMM.means, covs=_HMM.covs,
+             lambdas=[2.0, 3.0], d_max=4)
+_CRF = new_crf(3, 2, num_basis=4, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hmm_forward_backward(_HMM, EMPTY),
+        lambda: hmm_viterbi(_HMM, EMPTY),
+        lambda: crf_marginals(_CRF, EMPTY),
+        lambda: crf_viterbi(_CRF, EMPTY),
+        lambda: crf_log_partition(_CRF, EMPTY),
+        lambda: crf_loglik_and_grad(_CRF, [(np.ones((3, 2)), [1, 2, 3]), (EMPTY, [])]),
+        lambda: hsmm_loglik(_HSMM, EMPTY),
+        lambda: hsmm_viterbi(_HSMM, EMPTY),
+        lambda: hsmm_posteriors(_HSMM, EMPTY),
+        lambda: chain.forward_backward(np.zeros((2, 3, 2)), np.zeros((2, 2)), [3, 0]),
+        lambda: chain.viterbi(np.zeros((2, 3, 2)), np.zeros((2, 2)), [0, 3]),
+    ],
+    ids=[
+        "hmm_forward_backward", "hmm_viterbi", "crf_marginals", "crf_viterbi",
+        "crf_log_partition", "crf_loglik_and_grad", "hsmm_loglik", "hsmm_viterbi",
+        "hsmm_posteriors", "chain.forward_backward", "chain.viterbi",
+    ],
+)
+def test_empty_sequence_rejected(call):
+    with pytest.raises(ValueError, match="empty sequence"):
+        call()

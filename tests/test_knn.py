@@ -83,3 +83,34 @@ def test_empty_training_set_rejected():
 def test_k_out_of_range_rejected():
     with pytest.raises(ValueError):
         knn_predict(np.zeros((3, 2)), np.array([1, 2, 3]), np.zeros(2), k=4)
+
+
+def test_duplicate_points_tie_on_kth_boundary_by_index():
+    # four points at distance 1 compete for the last two of k=3 places:
+    # the two lowest indices (labels 7, 7) win, not index 3 (label 3)
+    train = np.array([[0.0], [1.0], [1.0], [1.0], [2.0], [-1.0]])
+    labels = np.array([5, 7, 7, 3, 3, 3])
+    model = KnnModel(train, labels, k=3)
+    pred, conf = knn_predict_batch(model, np.array([[0.0], [0.0]]))
+    np.testing.assert_array_equal(pred, [7, 7])
+    np.testing.assert_allclose(conf, 2 / 3)
+    # duplicated grid points put many ties on the k-th boundary
+    rng = np.random.default_rng(3)
+    grid = np.repeat(rng.integers(-2, 3, size=(12, 2)).astype(float), 3, axis=0)
+    grid_labels = rng.integers(1, 4, size=grid.shape[0])
+    queries = rng.integers(-2, 3, size=(40, 2)).astype(float)
+    for k in (1, 2, 4, 5, 7):
+        batch, _ = knn_predict_batch(KnnModel(grid, grid_labels, k=k), queries)
+        expected = [oracle_knn(grid, grid_labels, q, k) for q in queries]
+        np.testing.assert_array_equal(batch, expected)
+
+
+def test_equal_distance_multisets_tie_on_label():
+    # both labels have neighbours at 0.1, 0.2 and 0.3; summed nearest-first
+    # the totals are equal, so the smaller label wins. Summed in index order
+    # they would round differently (0.3 + 0.2 + 0.1 != 0.1 + 0.2 + 0.3).
+    train = np.array([[0.3], [0.2], [0.1], [-0.1], [-0.2], [-0.3]])
+    labels = np.array([2, 2, 2, 1, 1, 1])
+    pred, conf = knn_predict_batch(KnnModel(train, labels, k=6), np.zeros((1, 1)))
+    assert pred[0] == oracle_knn(train, labels, np.zeros(1), 6) == 1
+    assert conf[0] == 0.5
