@@ -194,35 +194,49 @@ def sample_triplets_supervised(
     Every frame with at least one same-label partner anchors one triplet;
     positives share the anchor's label, negatives never do. With semi_hard
     (needs embeddings) the negative is the closest one still farther than
-    the positive, falling back to uniform when none qualifies.
+    the positive, falling back to the uniform draw when none qualifies.
+
+    Draw order: one ``rng.integers(0, highs)`` call with highs interleaved
+    as (positives, negatives) per anchor in index order, which consumes the
+    generator exactly as a per-anchor ``rng.choice(pos)``, ``rng.choice(neg)``
+    loop over ascending candidate arrays would.
     """
-    labels = np.asarray(labels)
-    if np.unique(labels).size < 2:
+    labels = np.asarray(labels).reshape(-1)
+    uniq, inv, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    if uniq.size < 2:
         raise DegenerateBatchError("triplet sampling needs >= 2 distinct labels")
     if semi_hard and embeddings is None:
         raise ValueError("semi-hard mining needs the batch embeddings")
-    triplets = []
-    idx = np.arange(labels.shape[0])
-    for i in idx:
-        pos = idx[(labels == labels[i]) & (idx != i)]
-        if pos.size == 0:
-            continue
-        neg = idx[labels != labels[i]]
-        p = int(rng.choice(pos))
-        if semi_hard:
-            d_pos = float(np.sum((embeddings[i] - embeddings[p]) ** 2))
-            d_neg = np.sum((embeddings[i] - embeddings[neg]) ** 2, axis=1)
-            valid = neg[d_neg > d_pos]
-            if valid.size:
-                n = int(valid[np.argmin(d_neg[d_neg > d_pos])])
-            else:
-                n = int(rng.choice(neg))
-        else:
-            n = int(rng.choice(neg))
-        triplets.append((int(i), p, n))
-    if not triplets:
+    n = labels.shape[0]
+    anchors = np.flatnonzero(counts[inv] >= 2)
+    if anchors.size == 0:
         warnings.warn("no valid triplets: every label occurs once", stacklevel=2)
-    return triplets
+        return []
+    # members grouped by label, ascending within a label; rank = place in its group
+    by_label = np.argsort(inv, kind="stable")
+    starts = np.cumsum(counts) - counts
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_label] = np.arange(n) - starts[inv[by_label]]
+    # row l: the frames not labelled l, ascending, then l's members
+    non_members = np.argsort(inv[None, :] == np.arange(uniq.size)[:, None], axis=1, kind="stable")
+    la = inv[anchors]
+    highs = np.empty(2 * anchors.size, dtype=np.int64)
+    highs[0::2] = counts[la] - 1
+    highs[1::2] = n - counts[la]
+    draws = rng.integers(0, highs)
+    kp = draws[0::2]
+    kp += kp >= rank[anchors]  # skip the anchor itself among its label's members
+    pos = by_label[starts[la] + kp]
+    neg = non_members[la, draws[1::2]]
+    if semi_hard:
+        E = np.asarray(embeddings, dtype=np.float64)
+        sq = np.sum(E * E, axis=1)
+        D = sq[anchors, None] + sq[None, :] - 2.0 * (E[anchors] @ E.T)
+        d_pos = D[np.arange(anchors.size), pos]
+        valid = (inv[None, :] != la[:, None]) & (D > d_pos[:, None])
+        hard = np.argmin(np.where(valid, D, np.inf), axis=1)
+        neg = np.where(valid.any(axis=1), hard, neg)
+    return list(zip(anchors.tolist(), pos.tolist(), neg.tolist()))
 
 
 def sample_triplets_time_contrastive(
@@ -271,16 +285,14 @@ def sample_npairs(labels, rng):
 
 
 def _labeled_pool(dataset, extra_labels):
-    """(demo_index, frame, label) rows from visible labels plus extra pseudo-labels."""
+    """(N, 3) rows (demo_index, frame, label) of visible labels plus extra pseudo-labels."""
     rows = []
     for di, demo in enumerate(dataset.demos):
         if demo.labels is not None:
-            for t in range(demo.num_frames):
-                rows.append((di, t, int(demo.labels[t])))
+            rows += ((di, t, lab) for t, lab in enumerate(demo.labels.tolist()))
         elif extra_labels:
-            for t, lab in sorted(extra_labels.get(demo.demo_id, {}).items()):
-                rows.append((di, t, int(lab)))
-    return rows
+            rows += ((di, t, lab) for t, lab in sorted(extra_labels.get(demo.demo_id, {}).items()))
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
 
 
 def train_embedding(
@@ -316,11 +328,11 @@ def train_embedding(
 
     supervised = loss_mode in ("triplet", "npairs", "triplet_tcn")
     contrastive = loss_mode in ("svtcn", "triplet_tcn")
-    pool = _labeled_pool(dataset, extra_labels) if supervised else []
     if supervised:
-        if not pool:
+        pool = _labeled_pool(dataset, extra_labels)
+        if not len(pool):
             raise DegenerateDatasetError("no labeled frames available")
-        if len({lab for _, _, lab in pool}) < 2:
+        if np.unique(pool[:, 2]).size < 2:
             raise DegenerateDatasetError("labeled pool has a single class")
     tcn_demos = [d for d in dataset.demos if d.num_frames > 2 * config.neg_window]
     if contrastive and not tcn_demos:
@@ -341,7 +353,7 @@ def train_embedding(
             if supervised:
                 chunk = order[step * config.batch_size : (step + 1) * config.batch_size]
                 if chunk.size:
-                    part = _supervised_step(dataset, pool, chunk, config, loss_mode, rng, encoder)
+                    part = _supervised_step(dataset, pool[chunk], config, loss_mode, rng, encoder)
                     if part is not None:
                         loss, g = part
                         weight = 0.5 if loss_mode == "triplet_tcn" else 1.0
@@ -372,13 +384,13 @@ def _forward_loss_backward(encoder, X, loss_on_embeddings):
     return loss, grads
 
 
-def _supervised_step(dataset, pool, chunk, config, loss_mode, rng, encoder):
-    rows = [pool[i] for i in chunk]
-    labels = np.asarray([lab for _, _, lab in rows])
+def _supervised_step(dataset, rows, config, loss_mode, rng, encoder):
+    labels = rows[:, 2]
     uniq, counts = np.unique(labels, return_counts=True)
     if uniq.size < 2 or counts.max() < 2:
         return None  # chunk cannot form triplets or pairs
-    X = np.stack([dataset.demos[di].features[t] for di, t, _ in rows])
+    # row by row: a copy of the whole pool's features would add N*F floats to peak memory
+    X = np.array([dataset.demos[di].features[t] for di, t in rows[:, :2].tolist()])
     if loss_mode == "npairs":
         ai, pi, pair_labels = sample_npairs(labels, rng)
         if len(ai) < 2:

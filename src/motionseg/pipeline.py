@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, mask_labels, split_leave_one_out
-from .embedding import Encoder, TripletConfig, encode_array, train_embedding
+from .embedding import LOSS_MODES, Encoder, TripletConfig, encode_array, train_embedding
 from .errors import DegenerateDatasetError, UnfittedModelError
 from .seqmodels import (
     KnnModel,
@@ -37,7 +37,6 @@ from .seqmodels.hsmm import hsmm_posteriors, hsmm_viterbi_batch
 from .seqmodels.state_map import apply_state_map
 
 SEQ_MODELS = ("knn", "hmm", "hsmm", "crf", "rnn")
-LOSS_MODES = ("triplet", "npairs", "triplet_tcn", "svtcn")
 
 
 @dataclass

@@ -3,7 +3,8 @@
 Sequences are chunked into stride-length windows; batches pad windows to a
 common length and mask the padding out of the loss. The backward-direction
 cell consumes each window reversed within its own true length, so padding
-never corrupts valid hidden states.
+never corrupts valid hidden states. Prediction runs all windows of a
+sequence as one padded batch.
 """
 
 from __future__ import annotations
@@ -13,15 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeError
-
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 @dataclass
@@ -52,60 +44,82 @@ def new_cell(input_dim: int, hidden: int, rng) -> LstmCell:
     return LstmCell(w, u, b)
 
 
-def lstm_forward(cell: LstmCell, X) -> tuple[np.ndarray, list]:
-    """Run the cell over (B, T, in); returns hidden states (B, T, H) and caches."""
-    B, T, _ = X.shape
+# sigmoid(z) = (1 + tanh(z / 2)) / 2 on the i, f, o gates; g is a plain tanh
+_HALF = np.array([0.5, 0.5, 1.0, 0.5])[:, None, None]
+_SHIFT = 1.0 - _HALF
+
+
+def lstm_forward(cell: LstmCell, X) -> tuple[np.ndarray, tuple]:
+    """Run the cell over (B, T, in); returns hidden states (B, T, H) and caches.
+
+    The gates live in one (T, 4, H, B) buffer, so every step works on
+    contiguous blocks. The input projection W @ x + b of all steps is one
+    batched matmul before the time loop; each step adds U @ h in place and
+    activates all four gates with one tanh, the halving of the sigmoid gates
+    folded exactly into their rows of W, U and b.
+    """
+    B, T, d = X.shape
     H = cell.hidden
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    out = np.empty((B, T, H))
-    caches = []
+    w = (cell.w.reshape(4, H, d) * _HALF).reshape(4 * H, d)
+    u = (cell.u.reshape(4, H, H) * _HALF).reshape(4 * H, H)
+    gates = np.matmul(w, X.transpose(1, 2, 0)).reshape(T, 4, H, B)
+    gates += cell.b.reshape(4, H, 1) * _HALF
+    hs = np.zeros((T + 1, H, B))  # hs[t] is the state before step t
+    cs = np.zeros((T + 1, H, B))
+    tanh_c = np.empty((T, H, B))
     for t in range(T):
-        x = X[:, t, :]
-        z = x @ cell.w.T + h @ cell.u.T + cell.b
-        i = _sigmoid(z[:, :H])
-        f = _sigmoid(z[:, H : 2 * H])
-        g = np.tanh(z[:, 2 * H : 3 * H])
-        o = _sigmoid(z[:, 3 * H :])
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
-        caches.append((x, h, c, i, f, g, o, tanh_c))
-        h, c = h_new, c_new
-        out[:, t, :] = h
-    return out, caches
+        z = gates[t]
+        z += (u @ hs[t]).reshape(4, H, B)
+        np.tanh(z, out=z)
+        z *= _HALF
+        z += _SHIFT
+        i, f, g, o = z
+        c = cs[t + 1]
+        np.multiply(f, cs[t], out=c)
+        c += i * g
+        np.tanh(c, out=tanh_c[t])
+        np.multiply(o, tanh_c[t], out=hs[t + 1])
+    return hs[1:].transpose(2, 0, 1), (X, gates, cs, tanh_c, hs)
 
 
 def lstm_backward(cell: LstmCell, caches, grad_h_seq):
     """BPTT through a cached forward run; grad_h_seq is (B, T, H).
 
-    Returns ((dw, du, db), grad_input (B, T, in)).
+    Returns (dw, du, db), each one GEMM or sum after the time loop. The gate
+    buffer of the caches is overwritten with d loss / d pre-activations, so a
+    cache serves one backward pass.
     """
+    X, gates, cs, tanh_c, hs = caches
     B, T, H = grad_h_seq.shape
-    dw = np.zeros_like(cell.w)
-    du = np.zeros_like(cell.u)
-    db = np.zeros_like(cell.b)
-    dX = np.empty((B, T, cell.w.shape[1]))
-    dh_next = np.zeros((B, H))
-    dc_next = np.zeros((B, H))
+    i, f, g, o = gates.transpose(1, 0, 2, 3)
+    # all timesteps at once: d c / d h, the forget gate, and in place of each
+    # gate the factor that turns d c (d h for o) into d pre-activation
+    dc_dh = (1.0 - tanh_c * tanh_c) * o
+    f_keep = f.copy()
+    o[...] = (1.0 - o) * o * tanh_c
+    di_dc = (1.0 - i) * i * g
+    g[...] = (1.0 - g * g) * i
+    i[...] = di_dc
+    f[...] = f * (1.0 - f) * cs[:-1]
+    del di_dc
+    grad = grad_h_seq.transpose(1, 2, 0)
+    u_t = cell.u.T
+    dh_next = np.zeros((H, B))
+    dc_next = np.zeros((H, B))
     for t in range(T - 1, -1, -1):
-        x, h_prev, c_prev, i, f, g, o, tanh_c = caches[t]
-        dh = grad_h_seq[:, t, :] + dh_next
-        do = dh * tanh_c
-        dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-        dc_next = dc * f
-        dz = np.concatenate(
-            [di * i * (1 - i), df * f * (1 - f), dg * (1 - g * g), do * o * (1 - o)], axis=1
-        )
-        dw += dz.T @ x
-        du += dz.T @ h_prev
-        db += dz.sum(axis=0)
-        dX[:, t, :] = dz @ cell.w
-        dh_next = dz @ cell.u
-    return (dw, du, db), dX
+        dh = grad[t] + dh_next
+        dc = dh * dc_dh[t]
+        dc += dc_next
+        d = gates[t]
+        d[:3] *= dc
+        d[3] *= dh
+        dc_next = dc * f_keep[t]
+        dh_next = u_t @ d.reshape(4 * H, B)
+    del dc_dh, f_keep
+    dz = gates.reshape(T, 4 * H, B).transpose(1, 0, 2).reshape(4 * H, T * B)
+    dw = dz @ X.transpose(1, 0, 2).reshape(T * B, -1)
+    du = dz @ hs[:-1].transpose(0, 2, 1).reshape(T * B, H)
+    return dw, du, dz.sum(axis=1)
 
 
 @dataclass
@@ -164,6 +178,8 @@ def _reverse_within_lengths(X, lengths):
 def birnn_forward(rnn: BiRnn, X, lengths):
     """Logits (B, T, C) plus caches for backward; padding rows are garbage."""
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 3 or X.shape[2] != rnn.fwd.w.shape[1]:
+        raise ShapeError(f"birnn wants (B, T, {rnn.fwd.w.shape[1]}) input, got {X.shape}")
     lengths = np.asarray(lengths, dtype=np.int64)
     Xr, idx, mask = _reverse_within_lengths(X, lengths)
     hf, cache_f = lstm_forward(rnn.fwd, X)
@@ -188,8 +204,8 @@ def birnn_backward(rnn: BiRnn, cache, grad_logits):
     dhb = dconcat[:, :, H:]
     # mirror the gather: grad w.r.t. reversed-run outputs
     dhr = dhb[np.arange(B)[:, None], idx] * mask[..., None]
-    (dwf, duf, dbf), _ = lstm_backward(rnn.fwd, cache_f, dhf)
-    (dwr, dur, dbr), _ = lstm_backward(rnn.bwd, cache_r, dhr)
+    dwf, duf, dbf = lstm_backward(rnn.fwd, cache_f, dhf)
+    dwr, dur, dbr = lstm_backward(rnn.bwd, cache_r, dhr)
     return [dwf, duf, dbf, dwr, dur, dbr, dw_out, db_out]
 
 
@@ -280,24 +296,35 @@ def rnn_train(
     return rnn, trace
 
 
+def _predict_padded(rnn: BiRnn, X, lengths):
+    """Labels (1..C), max-softmax confidences and probabilities of a padded batch."""
+    logits, _ = birnn_forward(rnn, X, lengths)
+    probs = _softmax(logits)
+    labels = np.argmax(probs, axis=2) + 1
+    conf = np.take_along_axis(probs, labels[..., None] - 1, axis=2)[..., 0]
+    return labels, conf, probs
+
+
 def rnn_predict(rnn: BiRnn, window) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Labels (1..C), max-softmax confidences, and full (T, C) probabilities."""
     X = np.atleast_2d(np.asarray(window, dtype=np.float64))
     if X.shape[0] == 0:
         raise ValueError("empty window")
-    logits, _ = birnn_forward(rnn, X[None, :, :], np.asarray([X.shape[0]]))
-    probs = _softmax(logits[0])
-    labels = np.argmax(probs, axis=1) + 1
-    conf = probs[np.arange(probs.shape[0]), labels - 1]
-    return labels, conf, probs
+    labels, conf, probs = _predict_padded(rnn, X[None], np.asarray([X.shape[0]]))
+    return labels[0], conf[0], probs[0]
 
 
 def rnn_predict_sequence(rnn: BiRnn, X) -> tuple[np.ndarray, np.ndarray]:
-    """Chunk a long sequence into stride windows and concatenate predictions."""
+    """Chunk a long sequence into stride windows and label them as one batch."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    labels, confs = [], []
-    for s in range(0, X.shape[0], rnn.stride):
-        lab, conf, _ = rnn_predict(rnn, X[s : s + rnn.stride])
-        labels.append(lab)
-        confs.append(conf)
-    return np.concatenate(labels), np.concatenate(confs)
+    T, d = X.shape
+    if T == 0:
+        raise ValueError("empty sequence")
+    n_win = -(-T // rnn.stride)
+    width = min(T, rnn.stride)
+    padded = np.zeros((n_win * width, d))
+    padded[:T] = X
+    lengths = np.full(n_win, width)
+    lengths[-1] = T - (n_win - 1) * width
+    labels, conf, _ = _predict_padded(rnn, padded.reshape(n_win, width, d), lengths)
+    return labels.reshape(-1)[:T], conf.reshape(-1)[:T]

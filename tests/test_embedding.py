@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,69 @@ class TestSamplers:
         assert sorted(pair_labels.tolist()) == [1, 2]
         for a, p, lab in zip(anchors, positives, pair_labels):
             assert labels[a] == labels[p] == lab and a != p
+
+
+def per_anchor_triplets(labels, rng):
+    """Reference sampler: one rng.choice over positives, then negatives, per anchor."""
+    idx = np.arange(labels.shape[0])
+    triplets = []
+    for i in idx:
+        pos = idx[(labels == labels[i]) & (idx != i)]
+        if pos.size == 0:
+            continue
+        neg = idx[labels != labels[i]]
+        triplets.append((int(i), int(rng.choice(pos)), int(rng.choice(neg))))
+    return triplets
+
+
+@st.composite
+def ragged_label_batches(draw):
+    """2..140 frames over 2..12 labels, often with labels that occur once."""
+    n = draw(st.integers(2, 140))
+    k = draw(st.integers(2, 12))
+    labels = draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+    singletons = draw(st.integers(0, min(3, n - 1)))
+    for j in range(singletons):  # relabel a few frames with labels of their own
+        labels[draw(st.integers(0, n - 1))] = k + 1 + j
+    if len(set(labels)) < 2:
+        labels[0] = k + 10
+    return np.asarray(labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=ragged_label_batches(), seed=st.integers(0, 2**32 - 1))
+def test_supervised_sampler_reproduces_per_anchor_draws(labels, seed):
+    rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # batches where every label occurs once
+        expected = per_anchor_triplets(labels, rng_ref)
+        got = sample_triplets_supervised(labels, rng)
+    assert got == expected
+    assert rng.random() == rng_ref.random()  # the generator advanced identically
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_semi_hard_replaces_uniform_negative_with_closest_beyond_positive(seed):
+    gen = np.random.default_rng(100 + seed)
+    labels = gen.integers(1, 5, size=40)
+    labels[0] = 9  # a singleton anchors nothing
+    E = gen.normal(size=(40, 3))
+    E /= np.linalg.norm(E, axis=1, keepdims=True)
+    rng_uniform, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    uniform = sample_triplets_supervised(labels, rng_uniform)
+    hard = sample_triplets_supervised(labels, rng, embeddings=E, semi_hard=True)
+    assert rng.random() == rng_uniform.random()  # same draws, only negatives replaced
+    assert [t[:2] for t in hard] == [t[:2] for t in uniform]
+    mined = 0
+    for (a, p, n_uniform), (_, _, n) in zip(uniform, hard):
+        d = np.sum((E[a] - E) ** 2, axis=1)
+        valid = np.flatnonzero((labels != labels[a]) & (d > d[p]))
+        if valid.size:
+            assert n == valid[np.argmin(d[valid])]
+            mined += 1
+        else:
+            assert n == n_uniform
+    assert mined > 0
 
 
 def small_dataset(seed=0, classes=3, noise=0.45):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from motionseg.errors import ShapeError
 from motionseg.numerics import finite_diff_check, pack_arrays, unpack_arrays
 from motionseg.seqmodels.rnn import (
     BiRnn,
@@ -135,3 +136,55 @@ def test_predict_sequence_covers_every_frame():
     X = np.random.default_rng(8).normal(size=(11, 2))
     labels, conf = rnn_predict_sequence(rnn, X)
     assert labels.shape == (11,) and conf.shape == (11,)
+
+
+@pytest.mark.parametrize("length", [1, 7, 8, 9, 23])  # stride 8: 1, s-1, s, s+1, 3s-1
+def test_batched_predict_sequence_matches_per_window_predictions(length):
+    rnn = new_birnn(input_dim=3, num_labels=4, hidden=5, stride=8, seed=12)
+    rng = np.random.default_rng(length)
+    for cell in (rnn.fwd, rnn.bwd):  # with zero biases, zero padding would leave h at 0
+        cell.b += rng.normal(size=cell.b.shape)
+    X = rng.normal(size=(length, 3))
+    labels, conf = rnn_predict_sequence(rnn, X)
+    windows = [rnn_predict(rnn, X[s : s + 8]) for s in range(0, length, 8)]
+    np.testing.assert_array_equal(labels, np.concatenate([w[0] for w in windows]))
+    np.testing.assert_allclose(conf, np.concatenate([w[1] for w in windows]), rtol=0, atol=1e-12)
+
+
+def test_bptt_matches_finite_differences_on_ragged_batch():
+    rng = np.random.default_rng(13)
+    rnn = new_birnn(input_dim=3, num_labels=4, hidden=4, stride=7, seed=14)
+    lengths = np.array([7, 1, 4, 6, 2])
+    X = rng.normal(size=(5, 7, 3))
+    mask = np.arange(7)[None, :] < lengths[:, None]
+    y = rng.integers(1, 5, size=(5, 7))
+    flat0, shapes = pack_arrays(rnn.param_arrays())
+
+    def fn(flat):
+        vals = unpack_arrays(flat, shapes)
+        trial = BiRnn(
+            fwd=LstmCell(vals[0], vals[1], vals[2]),
+            bwd=LstmCell(vals[3], vals[4], vals[5]),
+            w_out=vals[6],
+            b_out=vals[7],
+            stride=7,
+        )
+        logits, cache = birnn_forward(trial, X, lengths)
+        loss, dlogits = cross_entropy_and_grad(logits, y, mask)
+        return loss, pack_arrays(birnn_backward(trial, cache, dlogits))[0]
+
+    assert finite_diff_check(fn, flat0, epsilon=1e-5) < 1e-4
+
+
+def test_empty_sequence_raises():
+    rnn = new_birnn(input_dim=2, num_labels=2, hidden=3, stride=4, seed=0)
+    with pytest.raises(ValueError, match="empty sequence"):
+        rnn_predict_sequence(rnn, np.zeros((0, 2)))
+
+
+def test_feature_width_mismatch_raises_shape_error():
+    rnn = new_birnn(input_dim=2, num_labels=2, hidden=3, stride=4, seed=0)
+    with pytest.raises(ShapeError):
+        birnn_forward(rnn, np.zeros((1, 5, 3)), np.array([5]))
+    with pytest.raises(ShapeError):
+        rnn_predict_sequence(rnn, np.zeros((9, 3)))
