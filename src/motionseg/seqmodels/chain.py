@@ -61,12 +61,17 @@ class Step:
         self.shift = float(np.max(log_M))
         self.M = np.exp(log_M - self.shift)
         live = self.M.any(axis=0)  # columns some state can reach
-        self.live = slice(None) if live.all() else live
+        self.live = None if live.all() else live
 
     def __call__(self, x):
         m = x.max(axis=1, keepdims=True)
         s = np.exp(x - m) @ self.M
-        if s[:, self.live].min() > TINY:
+        if self.live is None:
+            if s.min() > TINY:  # every entry positive: log_clip(s) is plain log(s)
+                s = np.log(s, out=s)
+                s += m + self.shift
+                return s
+        elif s[:, self.live].min() > TINY:
             return log_clip(s) + (m + self.shift)
         return logsumexp(x[:, :, None] + self.log_M, axis=1)
 
@@ -74,6 +79,13 @@ class Step:
 def forward_backward(log_unary, log_trans, lengths, log_init=None):
     """Posteriors of N padded chains: gamma (N, T, K), zero past each length;
     pairwise marginals summed over all frame pairs (K, K); log normalizers (N,)."""
+    gamma, logz, la = posteriors(log_unary, log_trans, lengths, log_init)
+    return gamma, pair_sum(la, gamma, Step(log_trans)), logz
+
+
+def posteriors(log_unary, log_trans, lengths, log_init=None):
+    """forward_backward without the pairwise marginals: gamma (N, T, K), zero
+    past each length; log normalizers (N,); the forward messages (N, T, K)."""
     N, T, K = log_unary.shape
     check_lengths(lengths)
     last = np.asarray(lengths) - 1
@@ -92,7 +104,7 @@ def forward_backward(log_unary, log_trans, lengths, log_init=None):
     gamma = np.exp(lb, out=lb)
     gamma /= gamma.sum(axis=2, keepdims=True)
     gamma[~valid(lengths, T)] = 0.0
-    return gamma, pair_sum(la, gamma, fwd), logz
+    return gamma, logz, la
 
 
 def pair_sum(log_msg, post, step):
@@ -127,12 +139,13 @@ def viterbi(log_unary, log_trans, lengths, log_init=None):
     done = int(last.min())  # from here on some sequences have ended
     delta = log_unary[:, 0] if log_init is None else log_init + log_unary[:, 0]
     back = np.zeros((T, N, K), dtype=np.int64)
+    rows, cols = np.arange(N), np.arange(K)
     for t in range(1, T):  # a finished sequence keeps its last delta
         scores = delta[:, :, None] + log_trans
-        back[t] = scores.argmax(axis=1)
-        new = scores.max(axis=1) + log_unary[:, t]
+        back[t] = prev = scores.argmax(axis=1)
+        new = scores[rows[:, None], prev, cols] + log_unary[:, t]  # the max, gathered
         delta = new if t <= done else np.where((t <= last)[:, None], new, delta)
-    rows, state, best = np.arange(N), delta.argmax(axis=1), delta.max(axis=1)
+    state, best = delta.argmax(axis=1), delta.max(axis=1)
     path = np.zeros((T, N), dtype=np.int64)
     for t in range(T - 1, -1, -1):
         path[t] = state

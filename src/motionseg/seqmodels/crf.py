@@ -66,7 +66,7 @@ def _batch(crf, sequences):
 def crf_log_partition(crf: LinearChainCrf, X) -> float:
     """Log normalizer over all label paths, by the forward recursion."""
     _, scores, lengths = _batch(crf, [X])
-    return float(chain.forward_backward(scores, crf.transitions, lengths)[2][0])
+    return float(chain.posteriors(scores, crf.transitions, lengths)[1][0])
 
 
 def crf_viterbi(crf: LinearChainCrf, X) -> np.ndarray:
@@ -78,7 +78,7 @@ def crf_viterbi(crf: LinearChainCrf, X) -> np.ndarray:
 def crf_marginals(crf: LinearChainCrf, X) -> np.ndarray:
     """(T, C) per-frame label marginals (each row sums to 1)."""
     _, scores, lengths = _batch(crf, [X])
-    return chain.forward_backward(scores, crf.transitions, lengths)[0][0]
+    return chain.posteriors(scores, crf.transitions, lengths)[0][0]
 
 
 def crf_loglik_and_grad(crf: LinearChainCrf, sequences):

@@ -7,7 +7,7 @@ floor so EM never degenerates on tight clusters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,7 @@ class GaussianHmm:
     A: np.ndarray  # (K, K) row-stochastic
     means: np.ndarray  # (K, d)
     covs: np.ndarray  # (K, d, d)
+    factors: tuple = field(init=False, repr=False, compare=False)  # gaussian_factors(covs)
 
     def __post_init__(self):
         self.pi = np.asarray(self.pi, dtype=np.float64)
@@ -33,6 +34,7 @@ class GaussianHmm:
             raise ShapeError("hmm parameter shapes disagree")
         if np.max(np.abs(self.A.sum(axis=1) - 1.0)) > 1e-10:
             raise ModelInvalidError("transition rows must sum to 1 within 1e-10")
+        self.covs, self.factors = hold_covariances(self.covs)
 
     @property
     def n_states(self) -> int:
@@ -43,17 +45,29 @@ class GaussianHmm:
         return self.means.shape[1]
 
 
-def _gaussian_logpdfs(X, means, covs) -> np.ndarray:
-    """(F, K) log densities of the rows of X under each N(means[k], covs[k])."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    d = X.shape[1]
+def gaussian_factors(covs) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse Cholesky factors (K, d, d) and log-determinants (K,) of covariances."""
     try:
         chol = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
         raise ModelInvalidError("covariance is not positive definite") from None
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    whiten = np.linalg.inv(chol)
-    out = np.empty((X.shape[0], len(covs)))
+    return np.linalg.inv(chol), 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+
+
+def hold_covariances(covs) -> tuple[np.ndarray, tuple]:
+    """A read-only copy of covs and its gaussian_factors, for a model to keep:
+    an in-place write then raises instead of leaving the factors stale."""
+    covs = np.array(covs, dtype=np.float64)
+    covs.setflags(write=False)
+    return covs, gaussian_factors(covs)
+
+
+def _gaussian_logpdfs(X, means, whiten, logdet) -> np.ndarray:
+    """(F, K) log densities of the rows of X under each N(means[k], covs[k]),
+    given the covariances' gaussian_factors."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    d = X.shape[1]
+    out = np.empty((X.shape[0], len(means)))
     diff, z = np.empty_like(X), np.empty_like(X)  # reused: one (F, d) pair for all states
     for k, W in enumerate(whiten):
         np.matmul(np.subtract(X, means[k], out=diff), W.T, out=z)
@@ -64,12 +78,13 @@ def _gaussian_logpdfs(X, means, covs) -> np.ndarray:
 
 def gaussian_logpdf(X, mean, cov) -> np.ndarray:
     """Log density of rows of X under N(mean, cov)."""
-    return _gaussian_logpdfs(X, np.atleast_2d(mean), np.asarray(cov)[None])[:, 0]
+    factors = gaussian_factors(np.asarray(cov)[None])
+    return _gaussian_logpdfs(X, np.atleast_2d(mean), *factors)[:, 0]
 
 
 def emission_log_probs(model, X) -> np.ndarray:
     """(T, K) emission log densities under the model's Gaussian states (HMM or HSMM)."""
-    return _gaussian_logpdfs(X, model.means, model.covs)
+    return _gaussian_logpdfs(X, model.means, *model.factors)
 
 
 def _chain_args(hmm: GaussianHmm, X, lengths):
@@ -80,7 +95,7 @@ def _chain_args(hmm: GaussianHmm, X, lengths):
 
 def hmm_forward_backward(hmm: GaussianHmm, X) -> tuple[np.ndarray, float]:
     """Per-frame state posteriors (each row sums to 1) and total log-likelihood."""
-    gamma, _, logz = chain.forward_backward(*_chain_args(hmm, *chain.stack([X])))
+    gamma, logz, _ = chain.posteriors(*_chain_args(hmm, *chain.stack([X])))
     return gamma[0], float(logz[0])
 
 
@@ -194,5 +209,5 @@ def hmm_em_fit(
         A = np.where(row[:, None] > 0, xi / np.maximum(row, 1e-300)[:, None], 1.0 / K)
         A /= A.sum(axis=1, keepdims=True)
         hmm = GaussianHmm(pi=pi, A=A, means=means, covs=covs)
-    trace.append(float(chain.forward_backward(*_chain_args(hmm, X, lengths))[2].sum()))
+    trace.append(float(chain.posteriors(*_chain_args(hmm, X, lengths))[1].sum()))
     return hmm, trace

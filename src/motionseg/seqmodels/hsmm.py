@@ -10,14 +10,14 @@ also what the brute-force enumeration oracle computes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ModelInvalidError, ShapeError
 from . import chain
 from .chain import LOG_EPS, logsumexp
-from .hmm import emission_log_probs, gaussian_m_step, init_gaussian_hmm
+from .hmm import emission_log_probs, gaussian_m_step, hold_covariances, init_gaussian_hmm
 
 
 @dataclass
@@ -28,12 +28,12 @@ class Hsmm:
     covs: np.ndarray  # (K, d, d)
     lambdas: np.ndarray  # (K,) truncated-Poisson rates
     d_max: int = 60
+    factors: tuple = field(init=False, repr=False, compare=False)  # gaussian_factors(covs)
 
     def __post_init__(self):
         self.pi = np.asarray(self.pi, dtype=np.float64)
         self.A = np.asarray(self.A, dtype=np.float64)
         self.means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        self.covs = np.asarray(self.covs, dtype=np.float64)
         self.lambdas = np.asarray(self.lambdas, dtype=np.float64)
         K = self.pi.shape[0]
         if self.A.shape != (K, K) or self.lambdas.shape != (K,):
@@ -44,6 +44,7 @@ class Hsmm:
             raise ModelInvalidError("transition rows must sum to 1 within 1e-10")
         if self.d_max < 1:
             raise ValueError("d_max must be >= 1")
+        self.covs, self.factors = hold_covariances(self.covs)
 
     @property
     def n_states(self) -> int:
@@ -73,9 +74,6 @@ def fit_truncated_poisson(target_mean, d_max: int):
     return lam if np.ndim(target_mean) else float(lam[0])
 
 
-_emissions = emission_log_probs
-
-
 def _segment_scores(hsmm: Hsmm, X, lengths):
     """Padded emission prefix sums (N, T+1, K), log duration pmf, log pi, log A."""
     logb = chain.pad(emission_log_probs(hsmm, X), lengths)
@@ -95,21 +93,26 @@ def hsmm_viterbi_batch(hsmm: Hsmm, sequences) -> tuple[list, np.ndarray]:
     X, lengths = chain.stack(sequences)
     cumb, log_dur, log_pi, log_A = _segment_scores(hsmm, X, lengths)
     N, T, K = cumb.shape[0], cumb.shape[1] - 1, cumb.shape[2]
+    D = min(hsmm.d_max, T)
+    rev_dur = log_dur[:, D - 1 :: -1].T  # (D, K), row i is duration D - i
     final = np.empty((N, K))  # best score of a segment of k ending each sequence
     best_in = np.empty((N, T + 1, K))
     prev_state = np.zeros((N, T + 1, K), dtype=np.int32)
     best_dur = np.zeros((N, T, K), dtype=np.int32)
     best_in[:, 0] = log_pi
+    rows, cols = np.arange(N)[:, None], np.arange(K)  # gather the entry at an argmax
     for t in range(T):
-        ds = np.arange(1, min(hsmm.d_max, t + 1) + 1)
-        starts = t - ds + 1
-        vals = best_in[:, starts] + log_dur[:, ds - 1].T + (cumb[:, t + 1, None] - cumb[:, starts])
-        pick, vs = vals.argmax(axis=1), vals.max(axis=1)
+        starts = slice(max(0, t - D + 1), t + 1)
+        width = starts.stop - starts.start
+        vals = best_in[:, starts] + rev_dur[D - width :] + (cumb[:, t + 1, None] - cumb[:, starts])
+        vals = vals[:, ::-1]  # durations 1, 2, ...: argmax resolves a tie to the shortest
+        pick = vals.argmax(axis=1)
+        vs = vals[rows, pick, cols]
         final[t == lengths - 1] = vs[t == lengths - 1]
-        best_dur[:, t] = ds[pick]
+        best_dur[:, t] = pick + 1
         scores = vs[:, :, None] + log_A
-        prev_state[:, t + 1] = scores.argmax(axis=1)
-        best_in[:, t + 1] = scores.max(axis=1)
+        prev_state[:, t + 1] = prev = scores.argmax(axis=1)
+        best_in[:, t + 1] = scores[rows, prev, cols]
 
     paths = []
     for n, length in enumerate(lengths):

@@ -174,6 +174,20 @@ def test_hsmm_batch_matches_enumeration(lengths, seed):
         np.testing.assert_allclose(batched, sum(parts), atol=1e-9)
 
 
+def test_hsmm_viterbi_ties_resolve_to_the_shortest_segment():
+    # Each frame scores -2**59 under both states, which absorbs every duration,
+    # initial and transition term: all segmentations tie exactly. The decode keeps
+    # the first maximum at every choice, so segments are one frame long, the
+    # last segment is state 0, and the states alternate back from it.
+    tie = Hsmm(pi=[0.5, 0.5], A=[[0.0, 1.0], [1.0, 0.0]], means=[[0.0], [0.0]],
+               covs=np.ones((2, 1, 1)), lambdas=[2.0, 3.0], d_max=3)
+    seqs = [np.full((n, 1), 2.0**30) for n in (5, 3, 1, 4)]
+    paths, best = hsmm_viterbi_batch(tie, seqs)
+    expected = [[0, 1, 0, 1, 0], [0, 1, 0], [0], [1, 0, 1, 0]]
+    assert [p.tolist() for p in paths] == expected
+    np.testing.assert_array_equal(best, -(2.0**59) * np.array([5, 3, 1, 4]))
+
+
 @settings(max_examples=15, deadline=None)
 @given(lengths=ragged, seed=seeds)
 def test_crf_batch_matches_enumeration(lengths, seed):
@@ -189,6 +203,36 @@ def test_crf_batch_matches_enumeration(lengths, seed):
         assert abs(logz[n] - total) < 1e-9
         np.testing.assert_array_equal(paths[n] + 1, best_path)
         np.testing.assert_allclose(marg[n, : len(X)], crf_marginals(crf, X), atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 6), K=st.integers(1, 5), seed=seeds)
+def test_step_plain_log_branch_equals_log_clip(rows, K, seed):
+    rng = np.random.default_rng(seed)
+    x, log_M = rng.normal(size=(rows, K)) * 3.0, rng.normal(size=(K, K))
+    step = chain.Step(log_M)
+    m = x.max(axis=1, keepdims=True)
+    s = np.exp(x - m) @ step.M
+    assert step.live is None and s.min() > chain.TINY  # the plain-log branch runs
+    np.testing.assert_array_equal(step(x), chain.log_clip(s) + (m + step.shift))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 6), K=st.integers(2, 5), seed=seeds,
+       case=st.sampled_from(["all reachable", "unreachable column", "underflow"]))
+def test_step_matches_logsumexp(rows, K, seed, case):
+    rng = np.random.default_rng(seed)
+    x, log_M = rng.normal(size=(rows, K)) * 3.0, rng.normal(size=(K, K))
+    if case == "unreachable column":  # the live mask
+        log_M[:, rng.integers(K)] = chain.LOG_EPS
+    if case == "underflow":  # only state 0 enters state 0, from far below the rest
+        log_M[1:, 0] = chain.LOG_EPS
+        x[:, 0] -= 2000.0
+    step = chain.Step(log_M)
+    assert (step.live is None) == (case != "unreachable column")
+    np.testing.assert_allclose(
+        step(x), lse(x[:, :, None] + log_M, axis=1), rtol=1e-12, atol=1e-12
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

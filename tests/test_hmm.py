@@ -3,14 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
+from motionseg.errors import ModelInvalidError
 from motionseg.seqmodels.hmm import (
     GaussianHmm,
+    _gaussian_logpdfs,
     emission_log_probs,
+    gaussian_factors,
     gaussian_logpdf,
     hmm_em_fit,
     hmm_forward_backward,
     hmm_viterbi,
 )
+from motionseg.seqmodels.hsmm import Hsmm
 
 
 def random_hmm(K, d, rng):
@@ -191,3 +195,43 @@ def test_em_monotone_on_multiple_sequences():
     seqs = [rng.normal(size=(60, 2)) + rng.normal(size=2) for _ in range(4)]
     _, trace = hmm_em_fit(seqs, K=3, iterations=15, seed=1)
     assert (np.diff(trace) >= -1e-6).all()
+
+
+MEANS2 = [[0.0, 0.0], [1.0, 1.0]]
+gaussian_models = pytest.mark.parametrize(
+    "build",
+    [
+        lambda covs: GaussianHmm(pi=[0.5, 0.5], A=[[0.9, 0.1], [0.2, 0.8]], means=MEANS2,
+                                 covs=covs),
+        lambda covs: Hsmm(pi=[0.5, 0.5], A=[[0.0, 1.0], [1.0, 0.0]], means=MEANS2, covs=covs,
+                          lambdas=[2.0, 3.0], d_max=4),
+    ],
+    ids=["hmm", "hsmm"],
+)
+
+
+@gaussian_models
+def test_non_positive_definite_covariance_rejected_at_build(build):
+    covs = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])  # eigenvalues 3, -1
+    with pytest.raises(ModelInvalidError, match="not positive definite"):
+        build(covs)
+
+
+@gaussian_models
+def test_covariances_are_a_read_only_copy(build):
+    covs = np.stack([np.eye(2), np.eye(2) * 2.0])
+    model = build(covs)
+    with pytest.raises(ValueError, match="read-only"):
+        model.covs[0, 0, 0] = 5.0
+    covs[0, 0, 0] = 5.0  # the caller's array stays writable and apart from the model
+    assert model.covs[0, 0, 0] == 1.0
+
+
+@gaussian_models
+def test_held_factors_match_fresh_factorisation_bit_for_bit(build):
+    rng = np.random.default_rng(12)
+    m = rng.normal(size=(2, 2, 2))
+    model = build(m @ m.transpose(0, 2, 1) + 0.3 * np.eye(2))
+    X = rng.normal(size=(9, 2))
+    fresh = _gaussian_logpdfs(X, model.means, *gaussian_factors(model.covs.copy()))
+    np.testing.assert_array_equal(emission_log_probs(model, X), fresh)

@@ -3,10 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from motionseg.seqmodels.hmm import GaussianHmm, hmm_viterbi
+from motionseg.seqmodels.hmm import GaussianHmm, emission_log_probs, hmm_viterbi
 from motionseg.seqmodels.hsmm import (
     Hsmm,
-    _emissions,
     duration_log_pmf,
     fit_truncated_poisson,
     hsmm_em_fit,
@@ -44,7 +43,7 @@ def compositions(total, max_part):
 
 def enumerate_segmentations(hsmm, X):
     """Oracle: total and best log-probability over every valid segmentation."""
-    logb = _emissions(hsmm, X)
+    logb = emission_log_probs(hsmm, X)
     T, K = logb.shape
     log_dur = duration_log_pmf(hsmm.lambdas, hsmm.d_max)
     log_pi = np.log(np.maximum(hsmm.pi, 1e-300))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from motionseg.embedding import new_encoder
-from motionseg.errors import DataFormatError
+from motionseg.errors import DataFormatError, ModelInvalidError
 from motionseg.imitation import new_pose_decoder
-from motionseg.modelio import load_model, save_model
+from motionseg.modelio import _write, load_model, save_model
 from motionseg.numerics import pack_arrays
 from motionseg.seqmodels.crf import new_crf
 from motionseg.seqmodels.hmm import GaussianHmm
@@ -59,6 +59,20 @@ def test_hsmm_roundtrip(tmp_path):
     assert back.d_max == 17
     np.testing.assert_array_equal(back.lambdas, hsmm.lambdas)
     np.testing.assert_array_equal(back.A, hsmm.A)
+
+
+@pytest.mark.parametrize("kind", ["hmm", "hsmm"])
+def test_non_positive_definite_covariance_rejected_at_load(tmp_path, kind):
+    arrays = {
+        "pi": np.array([0.5, 0.5]), "A": np.array([[0.0, 1.0], [1.0, 0.0]]),
+        "means": np.zeros((2, 1)), "covs": np.array([[[1.0]], [[-1.0]]]),
+    }
+    meta = {}
+    if kind == "hsmm":
+        arrays["lambdas"], meta["d_max"] = np.array([2.0, 3.0]), 5
+    _write(tmp_path / "m.model", kind, meta, arrays)
+    with pytest.raises(ModelInvalidError, match="not positive definite"):
+        load_model(tmp_path / "m.model")
 
 
 def test_crf_roundtrip(tmp_path):
