@@ -28,7 +28,7 @@ from .data import (
 from .embedding import Embedding, encode_array, pca2d
 from .errors import ConfigError, MotionsegError
 from .experiments import GRID_COLS, GRID_ROWS, fraction_sweep, grid_eval, pose_table
-from .imitation import trajectory_rows
+from .imitation import DECODER_HIDDEN, trajectory_rows
 from .pipeline import PipelineConfig, predict_frames, run_alternation
 
 CONFIG_SECTIONS = {
@@ -37,7 +37,7 @@ CONFIG_SECTIONS = {
 }
 # imitate knobs are plain keys, not a dataclass
 IMITATE_KEYS = {
-    "decoder_hidden": (512, 256, 128, 64, 32, 16),
+    "decoder_hidden": DECODER_HIDDEN,
     "decoder_epochs": 200,
     "w_pos": 0.5,
 }

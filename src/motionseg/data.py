@@ -303,7 +303,8 @@ def load_dataset(manifest_path) -> Dataset:
                         path=manifest_path,
                         line=lineno,
                     )
-                demo_specs.append((parts[0], parts[1], float(parts[2]), parts[3], lineno))
+                fps = _parse_fps(parts[2], manifest_path, lineno)
+                demo_specs.append((parts[0], parts[1], fps, parts[3], lineno))
             else:
                 raise SchemaError(f"unknown manifest key {key!r}", path=manifest_path, line=lineno)
     if num_classes is None or feature_width is None:
@@ -322,6 +323,18 @@ def _parse_int(value, path, lineno) -> int:
         return int(value)
     except ValueError:
         raise DataFormatError(f"expected integer, got {value!r}", path=path, line=lineno) from None
+
+
+def _parse_fps(value, path, lineno) -> float:
+    try:
+        fps = float(value)
+    except ValueError:
+        fps = math.nan
+    if not (math.isfinite(fps) and fps > 0):
+        raise DataFormatError(
+            f"fps must be a positive finite number, got {value!r}", path=path, line=lineno
+        )
+    return fps
 
 
 def _read_demo_csv(path, demonstrator, demo_id, fps, feature_width) -> Demonstration:
@@ -352,12 +365,21 @@ def _read_demo_csv(path, demonstrator, demo_id, fps, feature_width) -> Demonstra
             else:
                 feats.append(values)
     labels_arr = np.asarray(labels, dtype=np.int64)
+    feats_arr = np.asarray(feats, dtype=np.float64)
+    poses_arr = np.asarray(poses, dtype=np.float64)
+    # float() parses nan and inf; reject them here, at the first offending row
+    bad_feat = ~np.isfinite(feats_arr).all(axis=-1)
+    bad_pose = ~np.isfinite(poses_arr).all(axis=-1) if has_poses else False
+    if np.any(bad_feat | bad_pose):
+        row = int(np.argmax(bad_feat | bad_pose))
+        what = "feature" if bad_feat[row] else "pose"
+        raise DataFormatError(f"non-finite {what} value", path=path, line=row + 2)
     return Demonstration(
         demo_id=demo_id,
         demonstrator_id=demonstrator,
-        features=np.asarray(feats, dtype=np.float64),
+        features=feats_arr,
         labels=None if np.all(labels_arr == -1) else labels_arr,
-        poses=np.asarray(poses, dtype=np.float64) if has_poses else None,
+        poses=poses_arr if has_poses else None,
         fps=fps,
     )
 

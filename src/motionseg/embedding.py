@@ -323,7 +323,7 @@ def train_embedding(
         encoder = new_encoder(
             dataset.feature_width, dim=dim, hidden=hidden, seed=rng.integers(2**32)
         )
-    params = encoder.mlp.param_arrays()
+    params = [encoder.mlp.flat]
     opt = numerics.make_optimizer(params, "adam", lr=lr)
 
     supervised = loss_mode in ("triplet", "npairs", "triplet_tcn")
@@ -347,28 +347,25 @@ def train_embedding(
     for _ in range(int(epochs)):
         order = rng.permutation(len(pool)) if supervised else None
         for step in range(steps_per_epoch):
-            total_loss = 0.0
-            grads = None
-            n_terms = 0
+            parts = []
             if supervised:
                 chunk = order[step * config.batch_size : (step + 1) * config.batch_size]
                 if chunk.size:
                     part = _supervised_step(dataset, pool[chunk], config, loss_mode, rng, encoder)
                     if part is not None:
-                        loss, g = part
-                        weight = 0.5 if loss_mode == "triplet_tcn" else 1.0
-                        total_loss += weight * loss
-                        grads = numerics.accumulate_grads(grads, g, weight)
-                        n_terms += 1
+                        parts.append(part)
             if contrastive:
-                loss, g = _tcn_step(tcn_demos, config, rng, encoder)
-                weight = 0.5 if loss_mode == "triplet_tcn" else 1.0
-                total_loss += weight * loss
-                grads = numerics.accumulate_grads(grads, g, weight)
-                n_terms += 1
-            if n_terms == 0:
+                parts.append(_tcn_step(tcn_demos, config, rng, encoder))
+            if not parts:
                 continue
-            numerics.optimizer_step(params, numerics.grads_to_arrays(grads), opt)
+            weight = 0.5 if loss_mode == "triplet_tcn" else 1.0
+            total_loss = 0.0
+            grad = None  # weighted sum of the terms' gradients, laid out like mlp.flat
+            for loss, g in parts:
+                total_loss += weight * loss
+                g = numerics.flat_grad(g) * weight
+                grad = g if grad is None else grad + g
+            numerics.optimizer_step(params, [grad], opt)
             trace.append(total_loss)
     encoder.trained = encoder.trained or epochs > 0
     return encoder, trace

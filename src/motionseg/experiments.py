@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 
 from .data import Dataset, mask_labels, split_leave_one_out
-from .embedding import IncrementalPca, TripletConfig, encode_array, train_embedding
-from .imitation import eval_pose, train_pose_decoder
+from .embedding import IncrementalPca, encode_array, train_embedding
+from .imitation import DECODER_HIDDEN, eval_pose, train_pose_decoder
 from .pipeline import (
     PipelineConfig,
     evaluate_segmentation,
@@ -35,11 +35,7 @@ def make_embed_fn(row: str, train_dataset: Dataset, config: PipelineConfig, seed
             ipca.partial_fit(frames[s : s + 256])
         return ipca.transform
     loss_mode = _ROW_LOSS[row]
-    sampling = "time_contrastive" if loss_mode == "svtcn" else "supervised_segment"
-    tc = TripletConfig(
-        margin=config.margin, batch_size=config.batch_size, sampling=sampling,
-        pos_window=config.pos_window, neg_window=config.neg_window,
-    )
+    tc = replace(config, loss_mode=loss_mode).triplet_config()
     enc, _ = train_embedding(
         train_dataset, tc, epochs=config.embed_epochs, seed=seed, loss_mode=loss_mode,
         dim=config.embed_dim, hidden=config.encoder_hidden, lr=config.embed_lr,
@@ -104,7 +100,7 @@ def pose_table(
     config: PipelineConfig,
     noise_sigmas=(0.0, 0.15),
     seed: int = 0,
-    decoder_hidden=(64, 32),
+    decoder_hidden=DECODER_HIDDEN,
     decoder_epochs: int = 200,
     w_pos: float = 0.5,
 ):

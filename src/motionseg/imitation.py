@@ -22,6 +22,7 @@ from .numerics import MlpParams, init_mlp, mlp_backward, mlp_forward
 QUAT_SLICES = (slice(3, 7), slice(11, 15))
 MSE_DIMS = np.asarray([0, 1, 2, 7, 8, 9, 10, 15])
 SCOPES = ("pooled", "per_demonstrator")
+DECODER_HIDDEN = (64, 32)  # hidden widths of the pose decoder, shared by the CLI and pose_table
 
 
 @dataclass
@@ -61,32 +62,45 @@ class EndEffectorPose:
         )
 
 
+def _quat_rows(poses):
+    """(2B, 4) view of both arms' quaternions in (B, 16) poses; row 2b is sample b's left arm."""
+    return poses.reshape(-1, 2, 8)[:, :, 3:7].reshape(-1, 4)
+
+
 def pose_loss_batch(pred, truth, w_pos: float):
     """Mean pose loss over (B, 16) raw predictions; returns (loss, grad_pred).
 
     Predicted quaternions are renormalized before the cosine term (a zero
     quaternion falls back to the fixed basis vector, gradient zero there).
+    Both arms go through one normalisation and its backward pass.
     """
     pred = np.atleast_2d(np.asarray(pred, dtype=np.float64))
     truth = np.atleast_2d(np.asarray(truth, dtype=np.float64))
     if pred.shape != truth.shape or pred.shape[1] != POSE_DIM:
         raise ShapeError("pose arrays must both be (B, 16)")
     B = pred.shape[0]
-    grad = np.zeros_like(pred)
+    grad = np.zeros(pred.shape)
 
     resid = pred[:, MSE_DIMS] - truth[:, MSE_DIMS]
     mse = float(np.sum(resid**2)) / (POSE_DIM * B)
     grad[:, MSE_DIMS] = w_pos * 2.0 * resid / (POSE_DIM * B)
 
-    orient = 0.0
-    for sl in QUAT_SLICES:
-        raw = pred[:, sl]
-        q = truth[:, sl]
-        qhat = numerics.l2_normalize_rows(raw)
-        dots = np.sum(qhat * q, axis=1)
-        orient += float(np.mean(1.0 - np.abs(dots))) / 2.0
-        g_qhat = -np.sign(dots)[:, None] * q / (2.0 * B)
-        grad[:, sl] += (1.0 - w_pos) * numerics.l2_normalize_rows_backward(raw, g_qhat)
+    # numerics.l2_normalize_rows and its backward pass, sharing one norm
+    raw = _quat_rows(pred)
+    q = _quat_rows(truth)
+    norms = np.linalg.norm(raw, axis=1)
+    dead = norms <= 1e-12
+    safe = np.where(dead, 1.0, norms)[:, None]
+    qhat = raw / safe
+    qhat[dead] = (1.0, 0.0, 0.0, 0.0)
+    dots = np.sum(qhat * q, axis=1)
+    per_arm = (1.0 - np.abs(dots)).reshape(B, 2)
+    orient = float(np.mean(per_arm[:, 0])) / 2.0 + float(np.mean(per_arm[:, 1])) / 2.0
+    g_qhat = -np.sign(dots)[:, None] * q / (2.0 * B)
+    g_raw = (g_qhat - qhat * np.sum(qhat * g_qhat, axis=1, keepdims=True)) / safe
+    g_raw[dead] = 0.0
+    g_quat = _quat_rows(grad)
+    g_quat += (1.0 - w_pos) * g_raw
 
     loss = w_pos * mse + (1.0 - w_pos) * orient
     return loss, grad
@@ -114,7 +128,7 @@ class PoseDecoder:
 
 
 def new_pose_decoder(
-    embed_dim: int, hidden=(512, 256, 128, 64, 32, 16), w_pos=0.5, scope="pooled", seed=0
+    embed_dim: int, hidden=DECODER_HIDDEN, w_pos=0.5, scope="pooled", seed=0
 ) -> PoseDecoder:
     mlp = init_mlp([embed_dim, *hidden, POSE_DIM], rng=np.random.default_rng(seed))
     return PoseDecoder(mlp=mlp, w_pos=w_pos, scope=scope)
@@ -123,9 +137,8 @@ def new_pose_decoder(
 def decode_pose(decoder: PoseDecoder, embedding_rows) -> np.ndarray:
     """(T, 16) raw decoder outputs with quaternions renormalized."""
     out, _ = mlp_forward(decoder.mlp, np.atleast_2d(embedding_rows))
-    out = out.copy()
-    for sl in QUAT_SLICES:
-        out[:, sl] = numerics.l2_normalize_rows(out[:, sl])
+    quats = _quat_rows(out)
+    quats[...] = numerics.l2_normalize_rows(quats)
     return out
 
 
@@ -135,7 +148,7 @@ def train_pose_decoder(
     scope: str = "pooled",
     epochs: int = 200,
     seed: int = 0,
-    hidden=(512, 256, 128, 64, 32, 16),
+    hidden=DECODER_HIDDEN,
     w_pos: float = 0.5,
     lr: float = 1e-3,
     batch_size: int = 64,
@@ -170,7 +183,7 @@ def _train_one(encoder, demos, epochs, rng, hidden, w_pos, lr, batch_size, scope
     decoder = new_pose_decoder(
         X.shape[1], hidden=hidden, w_pos=w_pos, scope=scope, seed=int(rng.integers(2**32))
     )
-    params = decoder.mlp.param_arrays()
+    params = [decoder.mlp.flat]
     opt = numerics.make_optimizer(params, "adam", lr=lr)
     n = X.shape[0]
     for _ in range(int(epochs)):
@@ -180,7 +193,7 @@ def _train_one(encoder, demos, epochs, rng, hidden, w_pos, lr, batch_size, scope
             out, cache = mlp_forward(decoder.mlp, X[idx])
             _, grad_out = pose_loss_batch(out, Y[idx], w_pos)
             grads, _ = mlp_backward(decoder.mlp, cache, grad_out)
-            numerics.optimizer_step(params, numerics.grads_to_arrays(grads), opt)
+            numerics.optimizer_step(params, [numerics.flat_grad(grads)], opt)
     return decoder
 
 

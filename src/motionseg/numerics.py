@@ -36,9 +36,17 @@ class Layer:
 
 @dataclass
 class MlpParams:
-    """A stack of Layers with matching inner dimensions."""
+    """A stack of Layers with matching inner dimensions.
+
+    All parameters live in one contiguous float64 vector, ``flat``, laid out
+    as w0, b0, w1, b1, ... (each w row-major); every layer's ``w`` and ``b``
+    are rebound to views of it, so an optimizer step on ``flat`` updates the
+    layers in place. The MLP owns its layers: building a second MlpParams
+    from the same Layer objects rebinds them to the second vector.
+    """
 
     layers: list[Layer]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for prev, nxt in zip(self.layers, self.layers[1:]):
@@ -46,6 +54,13 @@ class MlpParams:
                 raise ShapeError(
                     f"layer widths disagree: {prev.w.shape[0]} feeds {nxt.w.shape[1]}"
                 )
+        self.flat = np.concatenate([a.ravel() for a in self.param_arrays()])
+        offset = 0
+        for layer in self.layers:
+            for name in ("w", "b"):
+                a = getattr(layer, name)
+                setattr(layer, name, self.flat[offset : offset + a.size].reshape(a.shape))
+                offset += a.size
 
     @property
     def in_dim(self) -> int:
@@ -56,7 +71,7 @@ class MlpParams:
         return self.layers[-1].w.shape[0]
 
     def param_arrays(self) -> list[np.ndarray]:
-        """Flat view of all parameter arrays (shared memory, update in place)."""
+        """Every layer's w and b in order (views of ``flat``, update in place)."""
         out = []
         for layer in self.layers:
             out.append(layer.w)
@@ -87,23 +102,6 @@ def init_mlp(sizes, activations=None, rng=None) -> MlpParams:
     return MlpParams(layers)
 
 
-def _activate(name, z):
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    return z
-
-
-def _activate_grad(name, z, a):
-    # a is the already-computed activation of z
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    if name == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(z)
-
-
 @dataclass
 class MlpCache:
     inputs: list[np.ndarray] = field(default_factory=list)  # per layer, (B, in)
@@ -121,8 +119,14 @@ def mlp_forward(params: MlpParams, x) -> tuple[np.ndarray, MlpCache]:
         raise ShapeError(f"input width {a.shape[-1]} != first layer width {params.in_dim}")
     cache = MlpCache(single=single)
     for layer in params.layers:
-        z = a @ layer.w.T + layer.b
-        post = _activate(layer.activation, z)
+        z = a @ layer.w.T
+        z += layer.b
+        if layer.activation == "relu":
+            post = np.maximum(z, 0.0)
+        elif layer.activation == "tanh":
+            post = np.tanh(z)
+        else:
+            post = z
         cache.inputs.append(a)
         cache.pre.append(z)
         cache.post.append(post)
@@ -146,28 +150,18 @@ def mlp_backward(params: MlpParams, cache: MlpCache, grad_output):
     grads = [None] * len(params.layers)
     for i in reversed(range(len(params.layers))):
         layer = params.layers[i]
-        g = g * _activate_grad(layer.activation, cache.pre[i], cache.post[i])
+        if layer.activation == "relu":
+            g = g * (cache.pre[i] > 0.0)
+        elif layer.activation == "tanh":
+            g = g * (1.0 - cache.post[i] * cache.post[i])
         grads[i] = (g.T @ cache.inputs[i], g.sum(axis=0))
         g = g @ layer.w
     return grads, (g[0] if cache.single else g)
 
 
-def grads_to_arrays(param_grads) -> list[np.ndarray]:
-    out = []
-    for dw, db in param_grads:
-        out.append(dw)
-        out.append(db)
-    return out
-
-
-def accumulate_grads(total, part, scale=1.0):
-    """total += scale * part, elementwise over a (dw, db) grad list."""
-    if total is None:
-        return [(dw * scale, db * scale) for dw, db in part]
-    return [
-        (tw + dw * scale, tb + db * scale)
-        for (tw, tb), (dw, db) in zip(total, part)
-    ]
+def flat_grad(param_grads) -> np.ndarray:
+    """The (dw, db) grad list as one vector laid out like ``MlpParams.flat``."""
+    return np.concatenate([a.ravel() for pair in param_grads for a in pair])
 
 
 # ---------------------------------------------------------------------------

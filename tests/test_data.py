@@ -120,6 +120,46 @@ class TestSerialization:
         with pytest.raises(DataFormatError, match=":4"):
             load_dataset(manifest)
 
+    def _corrupt_field(self, tmp_path, seed, line, field, value):
+        ds = generate_synthetic(default_config(seed=seed))
+        manifest = save_dataset(ds, tmp_path / "out")
+        csv = tmp_path / "out" / "demos" / "demo_0001.csv"
+        lines = csv.read_text().splitlines()
+        parts = lines[line - 1].split(",")
+        parts[field] = value
+        lines[line - 1] = ",".join(parts)
+        csv.write_text("\n".join(lines) + "\n")
+        return manifest
+
+    def test_nan_feature_rejected_with_file_and_line(self, tmp_path):
+        manifest = self._corrupt_field(tmp_path, 7, line=6, field=-1, value="nan")
+        with pytest.raises(DataFormatError, match="non-finite feature") as info:
+            load_dataset(manifest)
+        assert info.value.path.endswith("demo_0001.csv") and info.value.line == 6
+
+    def test_inf_pose_rejected_with_file_and_line(self, tmp_path):
+        # column 2 + 4 is the left quaternion's second component
+        manifest = self._corrupt_field(tmp_path, 8, line=3, field=6, value="-inf")
+        with pytest.raises(DataFormatError, match="non-finite pose") as info:
+            load_dataset(manifest)
+        assert info.value.path.endswith("demo_0001.csv") and info.value.line == 3
+
+    @pytest.mark.parametrize("fps", ["0", "-3.0", "nan", "inf", "fast"])
+    def test_bad_fps_rejected_with_manifest_line(self, tmp_path, fps):
+        ds = generate_synthetic(default_config(seed=9))
+        manifest = save_dataset(ds, tmp_path / "out")
+        lines = open(manifest).read().splitlines()
+        demo_lines = [i for i, line in enumerate(lines) if line.startswith("demo =")]
+        target = demo_lines[1]
+        parts = lines[target].split("|")
+        parts[2] = fps
+        lines[target] = "|".join(parts)
+        with open(manifest, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="fps") as info:
+            load_dataset(manifest)
+        assert info.value.path == manifest and info.value.line == target + 1
+
     def test_unknown_manifest_key_rejected(self, tmp_path):
         ds = generate_synthetic(default_config(seed=6))
         manifest = save_dataset(ds, tmp_path / "out")

@@ -369,7 +369,7 @@ def test_siamese_triplet_gradient_through_encoder():
     from motionseg.numerics import (
         Layer,
         MlpParams,
-        grads_to_arrays,
+        flat_grad,
         l2_normalize_rows,
         l2_normalize_rows_backward,
         mlp_backward,
@@ -395,7 +395,7 @@ def test_siamese_triplet_gradient_through_encoder():
         loss, gE = triplet_loss_batch(E, triplets, 0.2)
         gH = l2_normalize_rows_backward(H, gE)
         grads, _ = mlp_backward(trial, cache, gH)
-        return loss, pack_arrays(grads_to_arrays(grads))[0]
+        return loss, flat_grad(grads)
 
     assert finite_diff_check(fn, flat0) < 1e-4
 

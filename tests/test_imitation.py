@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motionseg import numerics
 from motionseg.data import SyntheticConfig, generate_synthetic, split_leave_one_out
 from motionseg.imitation import (
     EndEffectorPose,
@@ -94,6 +97,48 @@ class TestPoseLoss:
 
             assert finite_diff_check(fn, pred) < 1e-4
             checked += 1
+
+
+def two_slice_pose_loss(pred, truth, w_pos):
+    """pose_loss_batch as it was written per arm, kept as the fused loss's reference."""
+    mse_dims = np.asarray([0, 1, 2, 7, 8, 9, 10, 15])
+    B = pred.shape[0]
+    grad = np.zeros_like(pred)
+    resid = pred[:, mse_dims] - truth[:, mse_dims]
+    mse = float(np.sum(resid**2)) / (16 * B)
+    grad[:, mse_dims] = w_pos * 2.0 * resid / (16 * B)
+    orient = 0.0
+    for sl in (slice(3, 7), slice(11, 15)):
+        raw = pred[:, sl]
+        q = truth[:, sl]
+        qhat = numerics.l2_normalize_rows(raw)
+        dots = np.sum(qhat * q, axis=1)
+        orient += float(np.mean(1.0 - np.abs(dots))) / 2.0
+        g_qhat = -np.sign(dots)[:, None] * q / (2.0 * B)
+        grad[:, sl] += (1.0 - w_pos) * numerics.l2_normalize_rows_backward(raw, g_qhat)
+    loss = w_pos * mse + (1.0 - w_pos) * orient
+    return loss, grad
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    B=st.integers(1, 70),
+    w_pos=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+    quat_scale=st.sampled_from([0.0, 1e-13, 1e-12, 2e-12, 1e-6, 1.0]),
+)
+def test_fused_pose_loss_equals_two_slice_reference_bit_for_bit(B, w_pos, seed, quat_scale):
+    rng = np.random.default_rng(seed)
+    pred = rng.normal(size=(B, 16))
+    truth = rng.normal(size=(B, 16))
+    for sl in (slice(3, 7), slice(11, 15)):
+        truth[:, sl] /= np.linalg.norm(truth[:, sl], axis=1, keepdims=True)
+        # zero-norm and near-zero rows sit on both sides of the 1e-12 degenerate rule
+        pred[rng.random(B) < 0.3, sl] *= quat_scale
+    loss, grad = pose_loss_batch(pred, truth, w_pos)
+    ref_loss, ref_grad = two_slice_pose_loss(pred, truth, w_pos)
+    assert loss == ref_loss
+    assert grad.tobytes() == ref_grad.tobytes()
 
 
 def pose_dataset(seed=0):

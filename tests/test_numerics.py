@@ -89,7 +89,7 @@ def test_backward_matches_finite_differences():
         out, cache = mlp_forward(trial, x)
         diff = out - target
         grads, _ = mlp_backward(trial, cache, diff)
-        return 0.5 * float(diff @ diff), pack_arrays(numerics.grads_to_arrays(grads))[0]
+        return 0.5 * float(diff @ diff), numerics.flat_grad(grads)
 
     assert finite_diff_check(loss_fn, flat0) < 1e-4
 
@@ -183,6 +183,59 @@ def test_optimizers_are_deterministic():
                 step(p, [np.array([0.1 * k, -0.2])], state)
             results.append(p[0].copy())
         np.testing.assert_array_equal(results[0], results[1])
+
+
+def test_adam_on_one_flat_vector_equals_per_array_steps_bit_for_bit():
+    rng = np.random.default_rng(11)
+    arrays = [rng.normal(size=shape) for shape in ((5, 3), (5,), (2, 5), (2,))]
+    flat = [np.concatenate([a.ravel() for a in arrays])]
+    flat_state = numerics.make_optimizer(flat, "adam", lr=0.01)
+    split_state = numerics.make_optimizer(arrays, "adam", lr=0.01)
+    for _ in range(6):
+        grads = [rng.normal(size=a.shape) * 10.0 ** rng.integers(-6, 3) for a in arrays]
+        adam_step(arrays, grads, split_state)
+        adam_step(flat, [np.concatenate([g.ravel() for g in grads])], flat_state)
+        assert flat[0].tobytes() == np.concatenate([a.ravel() for a in arrays]).tobytes()
+    assert flat_state.step == split_state.step == 6
+
+
+def _assert_layers_view_flat(mlp):
+    offset = 0
+    for layer in mlp.layers:
+        for a in (layer.w, layer.b):
+            assert np.shares_memory(a, mlp.flat)
+            assert a.tobytes() == mlp.flat[offset : offset + a.size].tobytes()
+            offset += a.size
+    assert offset == mlp.flat.size
+
+
+def test_mlp_layers_are_views_of_flat_after_init_copy_and_load(tmp_path):
+    from motionseg.embedding import Encoder
+    from motionseg.modelio import load_model, save_model
+
+    mlp = init_mlp([4, 6, 3], rng=np.random.default_rng(0))
+    _assert_layers_view_flat(mlp)
+    dup = mlp.copy()
+    _assert_layers_view_flat(dup)
+    assert not np.shares_memory(dup.flat, mlp.flat)
+    dup.flat += 1.0
+    assert not np.array_equal(dup.layers[0].w, mlp.layers[0].w)
+    save_model(Encoder(mlp=mlp), tmp_path / "enc.model")
+    back = load_model(tmp_path / "enc.model").mlp
+    _assert_layers_view_flat(back)
+    assert back.flat.tobytes() == mlp.flat.tobytes()
+
+
+def test_optimizer_step_on_flat_changes_forward_output():
+    mlp = init_mlp([3, 5, 2], rng=np.random.default_rng(1))
+    x = np.array([0.3, -1.2, 0.8])
+    before, _ = mlp_forward(mlp, x)
+    state = numerics.make_optimizer([mlp.flat], "adam", lr=0.1)
+    numerics.optimizer_step([mlp.flat], [np.ones_like(mlp.flat)], state)
+    after, _ = mlp_forward(mlp, x)
+    assert not np.allclose(before, after)
+    expected = MlpParams([Layer(l.w.copy(), l.b.copy(), l.activation) for l in mlp.layers])
+    np.testing.assert_array_equal(after, mlp_forward(expected, x)[0])
 
 
 def test_l2_normalize_three_four_five():
