@@ -13,8 +13,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from motionseg.cli import write_csv
 from motionseg.data import SyntheticConfig, generate_synthetic
-from motionseg.experiments import GRID_COLS, GRID_ROWS, grid_eval
-from motionseg.pipeline import PipelineConfig
+from motionseg.experiments import GRID_ROWS, grid_eval
+from motionseg.pipeline import SEQ_MODELS, PipelineConfig
 
 
 def main():
@@ -36,8 +36,8 @@ def main():
         d_max=args.d_max, crf_iterations=50, seed=0,
     )
     cells = grid_eval(dataset, config, seeds=range(args.seeds))
-    rows = [(r, *[cells[(r, c)] for c in GRID_COLS]) for r in GRID_ROWS]
-    write_csv(args.out, ["embedding", *GRID_COLS], rows)
+    rows = [(r, *[cells[(r, c)] for c in SEQ_MODELS]) for r in GRID_ROWS]
+    write_csv(args.out, ["embedding", *SEQ_MODELS], rows)
     for row in rows:
         print(row[0].ljust(14), " ".join(f"{v:.3f}" for v in row[1:]))
 

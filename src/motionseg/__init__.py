@@ -19,21 +19,18 @@ from .data import (
     segmentation_accuracy,
     split_leave_one_out,
 )
-from .embedding import Embedding, Encoder, FrameFeatures, TripletConfig, encode, train_embedding
+from .embedding import Encoder, TripletConfig, train_embedding
 from .pipeline import PipelineConfig, PseudoLabel, run_alternation
 
 __all__ = [
     "Dataset",
     "Demonstration",
-    "Embedding",
     "Encoder",
-    "FrameFeatures",
     "PipelineConfig",
     "PseudoLabel",
     "SyntheticConfig",
     "TripletConfig",
     "confusion_matrix",
-    "encode",
     "generate_synthetic",
     "load_dataset",
     "mask_labels",

@@ -23,23 +23,34 @@ from .data import (
     confusion_matrix,
     generate_synthetic,
     load_dataset,
+    mask_labels,
     save_dataset,
+    split_leave_one_out,
 )
-from .embedding import Embedding, encode_array, pca2d
+from .embedding import LOSS_MODES, encode_array, pca2d
 from .errors import ConfigError, MotionsegError
-from .experiments import GRID_COLS, GRID_ROWS, fraction_sweep, grid_eval, pose_table
+from .experiments import GRID_ROWS, fraction_sweep, grid_eval, pose_table
 from .imitation import DECODER_HIDDEN, trajectory_rows
-from .pipeline import PipelineConfig, predict_frames, run_alternation
+from .pipeline import SEQ_MODELS, PipelineConfig, predict_frames, run_alternation
+
+
+@dataclasses.dataclass
+class ImitateConfig:
+    """Pose-decoder settings of the imitate subcommand."""
+
+    decoder_hidden: tuple = DECODER_HIDDEN
+    decoder_epochs: int = 200
+    w_pos: float = 0.5  # weight of the position term in the pose loss
+
+    def __post_init__(self):
+        if not (0.0 <= self.w_pos <= 1.0):
+            raise ValueError("w_pos must lie in [0, 1]")
+
 
 CONFIG_SECTIONS = {
     "synthetic": SyntheticConfig,
     "pipeline": PipelineConfig,
-}
-# imitate knobs are plain keys, not a dataclass
-IMITATE_KEYS = {
-    "decoder_hidden": DECODER_HIDDEN,
-    "decoder_epochs": 200,
-    "w_pos": 0.5,
+    "imitate": ImitateConfig,
 }
 
 
@@ -60,7 +71,7 @@ def parse_config_file(path) -> dict:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1].strip()
-                if current not in CONFIG_SECTIONS and current != "imitate":
+                if current not in CONFIG_SECTIONS:
                     raise ConfigError(f"unknown config section [{current}] at line {lineno}")
                 sections.setdefault(current, {})
                 continue
@@ -85,23 +96,27 @@ def _coerce(value: str, default):
 
 
 def build_dataclass(cls, raw: dict, overrides: dict | None = None):
+    section = _section_of(cls)
     field_defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in raw.items():
         if key not in field_defaults:
-            raise ConfigError(f"unknown key '{key}' for section [{_section_of(cls)}]")
+            raise ConfigError(f"unknown key '{key}' for section [{section}]")
         default = field_defaults[key]
-        if key == "mean_durations":
-            parts = [float(p) for p in value.split(",") if p.strip()]
-            kwargs[key] = parts[0] if len(parts) == 1 else tuple(parts)
-        else:
-            kwargs[key] = _coerce(value, default if default is not dataclasses.MISSING else "")
+        try:
+            if key == "mean_durations":
+                parts = [float(p) for p in value.split(",") if p.strip()]
+                kwargs[key] = parts[0] if len(parts) == 1 else tuple(parts)
+            else:
+                kwargs[key] = _coerce(value, default if default is not dataclasses.MISSING else "")
+        except ValueError as exc:
+            raise ConfigError(f"bad value {value!r} for key '{key}' in section [{section}]") from exc
     if overrides:
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def _section_of(cls):
@@ -147,11 +162,11 @@ def cmd_gen_data(args) -> int:
 def _pipeline_config(args, sections) -> PipelineConfig:
     overrides = {
         "seed": args.seed,
-        "rounds": getattr(args, "rounds", None),
-        "loss_mode": getattr(args, "loss", None),
-        "seq_model": getattr(args, "seq_model", None),
-        "labeled_fraction": getattr(args, "labeled_fraction", None),
-        "top_k": getattr(args, "top_k", None),
+        "rounds": args.rounds,
+        "loss_mode": args.loss,
+        "seq_model": args.seq_model,
+        "labeled_fraction": args.labeled_fraction,
+        "top_k": args.top_k,
     }
     return build_dataclass(PipelineConfig, sections.get("pipeline", {}), overrides)
 
@@ -173,18 +188,13 @@ def cmd_train(args) -> int:
         [(m.round, m.embed_loss, m.train_acc, m.val_acc, m.n_pseudo) for m in trace],
     )
     # final-round confusion matrix on the validation split
-    from .data import split_leave_one_out
-    from .embedding import encode_array as _enc
-
     masked = dataset
     if config.labeled_fraction < 1.0:
-        from .data import mask_labels
-
         masked = mask_labels(dataset, config.labeled_fraction, config.seed)
     _, val = split_leave_one_out(masked, config.val_index)
     preds, truths = [], []
     for demo in val.demos:
-        p, _ = predict_frames(bundle, _enc(encoder, demo.features))
+        p, _ = predict_frames(bundle, encode_array(encoder, demo.features))
         preds.append(p)
         truths.append(demo.true_labels())
     mat, _ = confusion_matrix(
@@ -222,8 +232,8 @@ def cmd_eval(args) -> int:
         cells = grid_eval(dataset, config, seeds)
         rows = []
         for row_name in GRID_ROWS:
-            rows.append((row_name, *[cells[(row_name, c)] for c in GRID_COLS]))
-        write_csv(os.path.join(args.out, "grid.csv"), ["embedding", *GRID_COLS], rows)
+            rows.append((row_name, *[cells[(row_name, c)] for c in SEQ_MODELS]))
+        write_csv(os.path.join(args.out, "grid.csv"), ["embedding", *SEQ_MODELS], rows)
         print(f"grid = {os.path.join(args.out, 'grid.csv')}")
         did_work = True
     if args.sweep:
@@ -244,12 +254,7 @@ def cmd_eval(args) -> int:
 def cmd_imitate(args) -> int:
     sections = parse_config_file(args.config) if args.config else {}
     config = _pipeline_config(args, sections)
-    imitate_raw = sections.get("imitate", {})
-    knobs = dict(IMITATE_KEYS)
-    for key, value in imitate_raw.items():
-        if key not in IMITATE_KEYS:
-            raise ConfigError(f"unknown key '{key}' for section [imitate]")
-        knobs[key] = _coerce(value, IMITATE_KEYS[key])
+    imitate = build_dataclass(ImitateConfig, sections.get("imitate", {}))
     dataset = load_dataset(args.data)
     if any(d.poses is None for d in dataset.demos):
         raise MotionsegError("dataset lacks poses; imitate needs pose ground truth")
@@ -259,8 +264,8 @@ def cmd_imitate(args) -> int:
         noise_sigmas.append(args.noise_sigma)
     rows, encoder, decoders = pose_table(
         dataset, config, noise_sigmas=noise_sigmas, seed=config.seed,
-        decoder_hidden=tuple(knobs["decoder_hidden"]), decoder_epochs=int(knobs["decoder_epochs"]),
-        w_pos=float(knobs["w_pos"]),
+        decoder_hidden=imitate.decoder_hidden, decoder_epochs=imitate.decoder_epochs,
+        w_pos=imitate.w_pos,
     )
     write_csv(
         os.path.join(args.out, "pose_metrics.csv"),
@@ -276,8 +281,6 @@ def cmd_imitate(args) -> int:
             f"rmse_position_cm={_fmt(r['rmse_position_cm'])} "
             f"median_cosine_quat_loss={_fmt(r['median_cosine_quat_loss'])}"
         )
-    from .data import split_leave_one_out
-
     _, test = split_leave_one_out(dataset, config.val_index)
     traj = trajectory_rows(decoders["per_demonstrator"], encoder, test.demos)
     write_csv(
@@ -293,32 +296,22 @@ def cmd_embed_dump(args) -> int:
     dataset = load_dataset(args.data)
     encoder = modelio.load_model(args.encoder)
     os.makedirs(args.out, exist_ok=True)
-    dim = encoder.dim
-    rows = []
-    embeddings = []
-    labels = []
+    keys = []  # (demo_id, frame_index, label) per encoded row
     for demo in dataset.demos:
-        E = encode_array(encoder, demo.features)
-        for t in range(demo.num_frames):
-            lab = int(demo.labels[t]) if demo.labels is not None else -1
-            rows.append((demo.demo_id, t, lab, *E[t].tolist()))
-            embeddings.append(Embedding(E[t], demo_id=demo.demo_id, frame_index=t))
-            labels.append(lab)
+        labels = demo.labels.tolist() if demo.labels is not None else [-1] * demo.num_frames
+        keys += [(demo.demo_id, t, int(lab)) for t, lab in enumerate(labels)]
+    E = np.vstack([encode_array(encoder, demo.features) for demo in dataset.demos])
     write_csv(
         os.path.join(args.out, "embeddings.csv"),
-        ["demo_id", "frame_index", "label", *[f"e_{k}" for k in range(dim)]],
-        rows,
+        ["demo_id", "frame_index", "label", *[f"e_{k}" for k in range(encoder.dim)]],
+        [(*key, *e) for key, e in zip(keys, E.tolist())],
     )
-    coords = pca2d(np.stack([e.values for e in embeddings]))
     write_csv(
         os.path.join(args.out, "pca2d.csv"),
         ["demo_id", "frame_index", "label", "x", "y"],
-        [
-            (e.demo_id, e.frame_index, labels[i], float(coords[i, 0]), float(coords[i, 1]))
-            for i, e in enumerate(embeddings)
-        ],
+        [(*key, *xy) for key, xy in zip(keys, pca2d(E).tolist())],
     )
-    print(f"embeddings = {len(rows)}")
+    print(f"embeddings = {len(keys)}")
     print(f"out = {args.out}")
     return 0
 
@@ -336,7 +329,6 @@ def _defaults_epilog() -> str:
             if f.default is not dataclasses.MISSING
         )
         lines.append(f"  [{section}] {pairs}")
-    lines.append("  [imitate] " + ", ".join(f"{k}={v}" for k, v in IMITATE_KEYS.items()))
     return "\n".join(lines)
 
 
@@ -350,6 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the PipelineConfig overrides shared by train, eval and imitate
+    pipeline_flags = argparse.ArgumentParser(add_help=False)
+    pipeline_flags.add_argument("--rounds", type=int, default=None)
+    pipeline_flags.add_argument("--loss", choices=LOSS_MODES, default=None)
+    pipeline_flags.add_argument("--seq-model", dest="seq_model", choices=SEQ_MODELS, default=None)
+    pipeline_flags.add_argument("--labeled-fraction", dest="labeled_fraction", type=float,
+                                default=None)
+    pipeline_flags.add_argument("--top-k", dest="top_k", type=int, default=None)
+
     def common(p, data=True):
         p.add_argument("--config", help="sectioned key-value config file")
         p.add_argument("--out", required=True, help="output directory")
@@ -361,39 +362,24 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, data=False)
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="run the semi-supervised alternation")
+    p = sub.add_parser("train", help="run the semi-supervised alternation",
+                       parents=[pipeline_flags])
     common(p)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--loss", choices=("triplet", "npairs", "triplet_tcn", "svtcn"), default=None)
-    p.add_argument("--seq-model", dest="seq_model",
-                   choices=("knn", "hmm", "hsmm", "crf", "rnn"), default=None)
-    p.add_argument("--labeled-fraction", dest="labeled_fraction", type=float, default=None)
-    p.add_argument("--top-k", dest="top_k", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="emit the embedding-by-model grid and/or fraction sweep")
+    p = sub.add_parser("eval", help="emit the embedding-by-model grid and/or fraction sweep",
+                       parents=[pipeline_flags])
     common(p)
     p.add_argument("--grid", action="store_true", help="run the 6x5 accuracy grid")
     p.add_argument("--sweep", default=None, help="comma list of labeled fractions")
     p.add_argument("--grid-seeds", dest="grid_seeds", type=int, default=1,
                    help="number of seeds to average")
-    p.add_argument("--loss", choices=("triplet", "npairs", "triplet_tcn", "svtcn"), default=None)
-    p.add_argument("--seq-model", dest="seq_model",
-                   choices=("knn", "hmm", "hsmm", "crf", "rnn"), default=None)
-    p.add_argument("--labeled-fraction", dest="labeled_fraction", type=float, default=None)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--top-k", dest="top_k", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("imitate", help="train and evaluate pose decoders")
+    p = sub.add_parser("imitate", help="train and evaluate pose decoders",
+                       parents=[pipeline_flags])
     common(p)
     p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.0)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--loss", choices=("triplet", "npairs", "triplet_tcn", "svtcn"), default=None)
-    p.add_argument("--seq-model", dest="seq_model",
-                   choices=("knn", "hmm", "hsmm", "crf", "rnn"), default=None)
-    p.add_argument("--labeled-fraction", dest="labeled_fraction", type=float, default=None)
-    p.add_argument("--top-k", dest="top_k", type=int, default=None)
     p.set_defaults(func=cmd_imitate)
 
     p = sub.add_parser("embed-dump", help="dump embeddings and a 2-D projection")

@@ -25,50 +25,21 @@ from .numerics import (
     mlp_forward,
 )
 
-SAMPLING_MODES = ("supervised_segment", "time_contrastive")
 LOSS_MODES = ("triplet", "npairs", "svtcn", "triplet_tcn")
-
-
-@dataclass
-class FrameFeatures:
-    values: np.ndarray
-    demo_id: str = ""
-    frame_index: int = 0
-    label: int | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-
-
-@dataclass
-class Embedding:
-    values: np.ndarray
-    demo_id: str = ""
-    frame_index: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        n = np.linalg.norm(self.values)
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError(f"embedding norm {n} not within 1e-9 of 1")
 
 
 @dataclass
 class TripletConfig:
     margin: float = 0.2
     batch_size: int = 128
-    sampling: str = "supervised_segment"
     pos_window: int = 6
     neg_window: int = 12
-    semi_hard: bool = False  # mine hardest valid negatives instead of uniform
 
     def __post_init__(self):
         if self.margin <= 0:
             raise ValueError("margin must be positive")
         if not (0 < self.pos_window < self.neg_window):
             raise ValueError("need neg_window > pos_window > 0")
-        if self.sampling not in SAMPLING_MODES:
-            raise ValueError(f"unknown sampling mode {self.sampling!r}")
 
 
 @dataclass
@@ -94,12 +65,6 @@ def encode_array(encoder: Encoder, features) -> np.ndarray:
     """Encode (T, F) features into (T, d) unit-norm rows."""
     out, _ = mlp_forward(encoder.mlp, np.atleast_2d(features))
     return l2_normalize_rows(out)
-
-
-def encode(encoder: Encoder, frame: FrameFeatures) -> Embedding:
-    """Encode one frame; pure function of (encoder parameters, frame values)."""
-    values = encode_array(encoder, frame.values[None, :])[0]
-    return Embedding(values=values, demo_id=frame.demo_id, frame_index=frame.frame_index)
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +151,11 @@ def npairs_loss(anchors, positives, labels):
 # triplet samplers
 
 
-def sample_triplets_supervised(
-    labels, rng, embeddings=None, semi_hard: bool = False
-) -> list[tuple[int, int, int]]:
+def sample_triplets_supervised(labels, rng) -> list[tuple[int, int, int]]:
     """Index triples (anchor, positive, negative) within one labeled batch.
 
     Every frame with at least one same-label partner anchors one triplet;
-    positives share the anchor's label, negatives never do. With semi_hard
-    (needs embeddings) the negative is the closest one still farther than
-    the positive, falling back to the uniform draw when none qualifies.
+    positives share the anchor's label, negatives never do.
 
     Draw order: one ``rng.integers(0, highs)`` call with highs interleaved
     as (positives, negatives) per anchor in index order, which consumes the
@@ -205,8 +166,6 @@ def sample_triplets_supervised(
     uniq, inv, counts = np.unique(labels, return_inverse=True, return_counts=True)
     if uniq.size < 2:
         raise DegenerateBatchError("triplet sampling needs >= 2 distinct labels")
-    if semi_hard and embeddings is None:
-        raise ValueError("semi-hard mining needs the batch embeddings")
     n = labels.shape[0]
     anchors = np.flatnonzero(counts[inv] >= 2)
     if anchors.size == 0:
@@ -228,14 +187,6 @@ def sample_triplets_supervised(
     kp += kp >= rank[anchors]  # skip the anchor itself among its label's members
     pos = by_label[starts[la] + kp]
     neg = non_members[la, draws[1::2]]
-    if semi_hard:
-        E = np.asarray(embeddings, dtype=np.float64)
-        sq = np.sum(E * E, axis=1)
-        D = sq[anchors, None] + sq[None, :] - 2.0 * (E[anchors] @ E.T)
-        d_pos = D[np.arange(anchors.size), pos]
-        valid = (inv[None, :] != la[:, None]) & (D > d_pos[:, None])
-        hard = np.argmin(np.where(valid, D, np.inf), axis=1)
-        neg = np.where(valid.any(axis=1), hard, neg)
     return list(zip(anchors.tolist(), pos.tolist(), neg.tolist()))
 
 
@@ -324,7 +275,7 @@ def train_embedding(
             dataset.feature_width, dim=dim, hidden=hidden, seed=rng.integers(2**32)
         )
     params = [encoder.mlp.flat]
-    opt = numerics.make_optimizer(params, "adam", lr=lr)
+    opt = numerics.make_optimizer(params, lr=lr)
 
     supervised = loss_mode in ("triplet", "npairs", "triplet_tcn")
     contrastive = loss_mode in ("svtcn", "triplet_tcn")
@@ -400,10 +351,7 @@ def _supervised_step(dataset, rows, config, loss_mode, rng, encoder):
             return loss, grad
         return _forward_loss_backward(encoder, X, npairs_on)
     def triplet_on(E):
-        triplets = sample_triplets_supervised(
-            labels, rng, embeddings=E, semi_hard=config.semi_hard
-        )
-        return triplet_loss_batch(E, triplets, config.margin)
+        return triplet_loss_batch(E, sample_triplets_supervised(labels, rng), config.margin)
 
     return _forward_loss_backward(encoder, X, triplet_on)
 
@@ -505,17 +453,8 @@ class IncrementalPca:
         return (X - self.mean_) @ self.components_.T
 
 
-def ipca_fit_partial(state: IncrementalPca, batch) -> IncrementalPca:
-    return state.partial_fit(batch)
-
-
-def ipca_transform(state: IncrementalPca, frame) -> np.ndarray:
-    out = state.transform(np.atleast_2d(frame))
-    return out[0] if np.asarray(frame).ndim == 1 else out
-
-
 # ---------------------------------------------------------------------------
-# 2-D projection dump
+# 2-D projection
 
 
 def pca2d(points) -> np.ndarray:
@@ -531,14 +470,3 @@ def pca2d(points) -> np.ndarray:
     signs = np.sign(comps[np.arange(2), np.argmax(np.abs(comps), axis=1)])
     signs[signs == 0] = 1.0
     return centered @ (comps * signs[:, None]).T
-
-
-def pca2d_dump(embeddings, labels=None) -> list[tuple]:
-    """Rows (demo_id, frame_index, label_or_-1, x, y) for a set of Embeddings."""
-    X = np.stack([e.values for e in embeddings])
-    coords = pca2d(X)
-    rows = []
-    for i, e in enumerate(embeddings):
-        lab = -1 if labels is None else int(labels[i])
-        rows.append((e.demo_id, e.frame_index, lab, float(coords[i, 0]), float(coords[i, 1])))
-    return rows

@@ -11,6 +11,7 @@ from .data import Dataset, mask_labels, split_leave_one_out
 from .embedding import IncrementalPca, encode_array, train_embedding
 from .imitation import DECODER_HIDDEN, eval_pose, train_pose_decoder
 from .pipeline import (
+    SEQ_MODELS,
     PipelineConfig,
     evaluate_segmentation,
     run_alternation,
@@ -18,7 +19,6 @@ from .pipeline import (
 )
 
 GRID_ROWS = ("ipca", "svtcn", "raw", "npairs", "triplet", "triplet_svtcn")
-GRID_COLS = ("knn", "hmm", "hsmm", "crf", "rnn")
 _ROW_LOSS = {"svtcn": "svtcn", "npairs": "npairs", "triplet": "triplet", "triplet_svtcn": "triplet_tcn"}
 
 
@@ -43,7 +43,7 @@ def make_embed_fn(row: str, train_dataset: Dataset, config: PipelineConfig, seed
     return lambda F: encode_array(enc, F)
 
 
-def grid_eval(dataset: Dataset, config: PipelineConfig, seeds, rows=GRID_ROWS, cols=GRID_COLS) -> dict:
+def grid_eval(dataset: Dataset, config: PipelineConfig, seeds, rows=GRID_ROWS, cols=SEQ_MODELS) -> dict:
     """Mean held-out accuracy per (row, column) cell over the given seeds."""
     seeds = list(seeds)
     sums = {(r, c): 0.0 for r in rows for c in cols}
@@ -108,7 +108,7 @@ def pose_table(
 
     Returns (rows, encoder, decoders) so callers can reuse the trained models.
     """
-    from .pipeline import pretrain_encoder
+    from .pipeline import pretrain_encoder  # call-time lookup: sees a wrapped pretrain_encoder
 
     train, test = split_leave_one_out(dataset, config.val_index)
     rng = np.random.default_rng(seed)

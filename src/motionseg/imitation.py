@@ -184,7 +184,7 @@ def _train_one(encoder, demos, epochs, rng, hidden, w_pos, lr, batch_size, scope
         X.shape[1], hidden=hidden, w_pos=w_pos, scope=scope, seed=int(rng.integers(2**32))
     )
     params = [decoder.mlp.flat]
-    opt = numerics.make_optimizer(params, "adam", lr=lr)
+    opt = numerics.make_optimizer(params, lr=lr)
     n = X.shape[0]
     for _ in range(int(epochs)):
         order = rng.permutation(n)

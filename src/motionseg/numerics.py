@@ -1,4 +1,4 @@
-"""Dense layer math with hand-written gradients, optimizers, and a gradient checker.
+"""Dense layer math with hand-written gradients, Adam, and a gradient checker.
 
 Everything runs in float64. Inputs may be single vectors (n,) or batches
 (B, n); parameter gradients are summed over the batch.
@@ -165,14 +165,13 @@ def flat_grad(param_grads) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# optimizers
+# Adam
 
 
 @dataclass
 class OptimizerState:
-    """State for sgd/adam over a fixed list of parameter arrays."""
+    """Adam state over a fixed list of parameter arrays."""
 
-    algorithm: str = "adam"
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -182,19 +181,25 @@ class OptimizerState:
     v: list = None
 
     def ensure_moments(self, params):
-        if self.algorithm == "adam" and self.m is None:
+        if self.m is None:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
 
 
-def adam_step(params: list, grads: list, state: OptimizerState) -> list:
+def make_optimizer(params, lr=1e-3) -> OptimizerState:
+    state = OptimizerState(lr=lr)
+    state.ensure_moments(params)
+    return state
+
+
+def optimizer_step(params: list, grads: list, state: OptimizerState) -> list:
     """One Adam update, in place. Returns params for convenience."""
     state.ensure_moments(params)
     if len(grads) != len(params):
         raise ShapeError("grads and params length mismatch")
     for g in grads:
         if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient passed to adam_step")
+            raise NumericError("non-finite gradient passed to optimizer_step")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.step
@@ -206,53 +211,16 @@ def adam_step(params: list, grads: list, state: OptimizerState) -> list:
         v += (1.0 - b2) * g * g
         p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
         if not np.all(np.isfinite(p)):
-            raise NumericError("adam_step produced non-finite parameters")
+            raise NumericError("optimizer_step produced non-finite parameters")
     return params
-
-
-def sgd_step(params: list, grads: list, state: OptimizerState) -> list:
-    if len(grads) != len(params):
-        raise ShapeError("grads and params length mismatch")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient passed to sgd_step")
-    state.step += 1
-    for p, g in zip(params, grads):
-        p -= state.lr * g
-    return params
-
-
-def make_optimizer(params, algorithm="adam", lr=1e-3) -> OptimizerState:
-    state = OptimizerState(algorithm=algorithm, lr=lr)
-    state.ensure_moments(params)
-    return state
-
-
-def optimizer_step(params, grads, state: OptimizerState):
-    if state.algorithm == "adam":
-        return adam_step(params, grads, state)
-    if state.algorithm == "sgd":
-        return sgd_step(params, grads, state)
-    raise ValueError(f"unknown optimizer {state.algorithm!r}")
 
 
 # ---------------------------------------------------------------------------
 # normalization and gradient checking
 
 
-def l2_normalize(v, eps: float = 1e-12) -> np.ndarray:
-    """Unit-normalize v; inputs with norm <= eps map to the fixed basis vector e1."""
-    v = np.asarray(v, dtype=np.float64)
-    n = np.linalg.norm(v)
-    if n <= eps:
-        out = np.zeros_like(v)
-        out[0] = 1.0
-        return out
-    return v / n
-
-
 def l2_normalize_rows(x, eps: float = 1e-12) -> np.ndarray:
-    """Row-wise l2_normalize with the same degenerate rule."""
+    """Unit-normalize each row; rows with norm <= eps map to the basis vector e1."""
     x = np.asarray(np.atleast_2d(x), dtype=np.float64)
     norms = np.linalg.norm(x, axis=1)
     dead = norms <= eps

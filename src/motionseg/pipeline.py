@@ -90,11 +90,9 @@ class PipelineConfig:
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
 
     def triplet_config(self) -> TripletConfig:
-        sampling = "time_contrastive" if self.loss_mode == "svtcn" else "supervised_segment"
         return TripletConfig(
             margin=self.margin,
             batch_size=self.batch_size,
-            sampling=sampling,
             pos_window=self.pos_window,
             neg_window=self.neg_window,
         )
@@ -107,7 +105,6 @@ class SegmenterBundle:
     kind: str
     model: object
     state_map: dict | None = None
-    use_viterbi: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +213,7 @@ def predict_frames(bundle: SegmenterBundle, embedded) -> tuple[np.ndarray, np.nd
         label_post = np.zeros((E.shape[0], max(classes) + 1))
         for state, lab in mapping.items():
             label_post[:, lab] += gamma[:, state]
-        if bundle.use_viterbi:
-            labels = apply_state_map(mapping, path)
-        else:
-            labels = np.argmax(label_post[:, 1:], axis=1) + 1
+        labels = apply_state_map(mapping, path)
         conf = label_post[np.arange(E.shape[0]), labels]
         conf = np.clip(conf, 1e-12, 1.0)
         return labels, conf

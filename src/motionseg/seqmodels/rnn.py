@@ -281,7 +281,7 @@ def rnn_train(
             wins[0].shape[1], num_labels, config.hidden, config.stride, seed=rng.integers(2**32)
         )
     params = rnn.param_arrays()
-    opt = numerics.make_optimizer(params, "adam", lr=config.lr)
+    opt = numerics.make_optimizer(params, lr=config.lr)
     trace = []
     for _ in range(int(epochs)):
         order = rng.permutation(len(wins))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motionseg.cli import main
+from motionseg.cli import ImitateConfig, _pipeline_config, build_parser, main
 
 TINY_CONFIG = """
 [synthetic]
@@ -251,3 +251,59 @@ class TestEmbedDump:
         assert len(emb_lines) - 1 == ds.num_frames
         assert len(pca_lines) - 1 == ds.num_frames
         assert pca_lines[0] == "demo_id,frame_index,label,x,y"
+
+
+PIPELINE_COMMANDS = ("train", "eval", "imitate")
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("command,section,key", [
+        ("gen-data", "synthetic", "num_classes"),
+        ("train", "pipeline", "embed_epochs"),
+        ("imitate", "imitate", "decoder_epochs"),
+    ])
+    def test_non_numeric_value_exits_2_naming_section_and_key(
+        self, tmp_path, capsys, command, section, key
+    ):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"[{section}]\n{key} = abc\n")
+        argv = [command, "--config", str(bad), "--out", str(tmp_path / "out")]
+        if command != "gen-data":
+            argv += ["--data", str(tmp_path / "missing.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"[{section}]" in err and key in err
+
+    @pytest.mark.parametrize("w_pos", ["2", "-0.5"])
+    def test_w_pos_outside_unit_interval_exits_2(self, tmp_path, capsys, w_pos):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"[imitate]\nw_pos = {w_pos}\n")
+        assert main([
+            "imitate", "--config", str(bad), "--data", str(tmp_path / "missing.json"),
+            "--out", str(tmp_path / "out"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "w_pos" in err
+
+    def test_imitate_config_accepts_interval_ends(self):
+        assert ImitateConfig(w_pos=0.0).w_pos == 0.0
+        assert ImitateConfig(w_pos=1.0).w_pos == 1.0
+
+
+@pytest.mark.parametrize("command", PIPELINE_COMMANDS)
+def test_shared_pipeline_flags_reach_pipeline_config(command):
+    args = build_parser().parse_args([
+        command, "--data", "d.json", "--out", "o",
+        "--top-k", "7", "--rounds", "2", "--loss", "npairs",
+    ])
+    config = _pipeline_config(args, {})
+    assert (config.top_k, config.rounds, config.loss_mode) == (7, 2, "npairs")
+
+
+@pytest.mark.parametrize("command", PIPELINE_COMMANDS)
+def test_unknown_seq_model_exits_2(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data", "d.json", "--out", "o", "--seq-model", "nope"])
+    assert exc.value.code == 2
+    assert "--seq-model" in capsys.readouterr().err

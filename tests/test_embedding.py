@@ -7,16 +7,12 @@ from hypothesis import strategies as st
 
 from motionseg.data import SyntheticConfig, generate_synthetic
 from motionseg.embedding import (
-    Embedding,
-    FrameFeatures,
     IncrementalPca,
     TripletConfig,
-    encode,
     encode_array,
     new_encoder,
     npairs_loss,
     pca2d,
-    pca2d_dump,
     sample_npairs,
     sample_triplets_supervised,
     sample_triplets_time_contrastive,
@@ -162,29 +158,6 @@ class TestSamplers:
         with pytest.raises(DegenerateBatchError):
             sample_triplets_time_contrastive(24, 6, 12, np.random.default_rng(0), 10)
 
-    def test_semi_hard_mining_picks_closest_valid_negative(self):
-        rng = np.random.default_rng(7)
-        labels = np.array([1, 1, 2, 2])
-        E = np.array([
-            [1.0, 0.0],   # anchor
-            [0.9, 0.1],   # positive, d2 = 0.02
-            [0.0, 1.0],   # far negative
-            [0.8, 0.3],   # close negative but farther than the positive
-        ])
-        triplets = sample_triplets_supervised(labels, rng, embeddings=E, semi_hard=True)
-        chosen = {a: n for a, _, n in triplets}
-        assert chosen[0] == 3  # closest negative beyond the positive distance
-
-    def test_semi_hard_requires_embeddings(self):
-        with pytest.raises(ValueError):
-            sample_triplets_supervised(np.array([1, 1, 2]), np.random.default_rng(0), semi_hard=True)
-
-    def test_semi_hard_training_runs(self):
-        dataset = small_dataset(seed=9)
-        config = TripletConfig(batch_size=32, semi_hard=True)
-        enc, trace = train_embedding(dataset, config, epochs=2, seed=0, dim=4, hidden=(8,))
-        assert enc.trained and trace
-
     def test_npairs_sampler_one_pair_per_label(self):
         rng = np.random.default_rng(5)
         labels = np.array([1, 1, 2, 2, 2, 3])
@@ -233,30 +206,6 @@ def test_supervised_sampler_reproduces_per_anchor_draws(labels, seed):
     assert rng.random() == rng_ref.random()  # the generator advanced identically
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_semi_hard_replaces_uniform_negative_with_closest_beyond_positive(seed):
-    gen = np.random.default_rng(100 + seed)
-    labels = gen.integers(1, 5, size=40)
-    labels[0] = 9  # a singleton anchors nothing
-    E = gen.normal(size=(40, 3))
-    E /= np.linalg.norm(E, axis=1, keepdims=True)
-    rng_uniform, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    uniform = sample_triplets_supervised(labels, rng_uniform)
-    hard = sample_triplets_supervised(labels, rng, embeddings=E, semi_hard=True)
-    assert rng.random() == rng_uniform.random()  # same draws, only negatives replaced
-    assert [t[:2] for t in hard] == [t[:2] for t in uniform]
-    mined = 0
-    for (a, p, n_uniform), (_, _, n) in zip(uniform, hard):
-        d = np.sum((E[a] - E) ** 2, axis=1)
-        valid = np.flatnonzero((labels != labels[a]) & (d > d[p]))
-        if valid.size:
-            assert n == valid[np.argmin(d[valid])]
-            mined += 1
-        else:
-            assert n == n_uniform
-    assert mined > 0
-
-
 def small_dataset(seed=0, classes=3, noise=0.45):
     config = SyntheticConfig(
         demonstrators=2,
@@ -275,20 +224,13 @@ def small_dataset(seed=0, classes=3, noise=0.45):
 class TestEncode:
     def test_untrained_encoder_emits_unit_norm(self):
         enc = new_encoder(6, dim=4, hidden=(8,), seed=0)
-        emb = encode(enc, FrameFeatures(np.arange(6.0), "d", 3))
-        assert abs(np.linalg.norm(emb.values) - 1.0) < 1e-9
-        assert emb.demo_id == "d" and emb.frame_index == 3
+        emb = encode_array(enc, np.arange(6.0))[0]
+        assert abs(np.linalg.norm(emb) - 1.0) < 1e-9
 
     def test_identical_frames_identical_embeddings(self):
         enc = new_encoder(5, dim=3, hidden=(7,), seed=1)
         x = np.array([0.3, -0.2, 1.0, 0.0, 2.0])
-        a = encode(enc, FrameFeatures(x))
-        b = encode(enc, FrameFeatures(x.copy()))
-        np.testing.assert_array_equal(a.values, b.values)
-
-    def test_embedding_rejects_non_unit_values(self):
-        with pytest.raises(ValueError):
-            Embedding(values=np.array([1.0, 1.0]))
+        np.testing.assert_array_equal(encode_array(enc, x), encode_array(enc, x.copy()))
 
 
 class TestTrainEmbedding:
@@ -357,7 +299,7 @@ class TestTrainEmbedding:
         for demo in stripped.demos:
             demo.hidden_labels = demo.labels
             demo.labels = None
-        config = TripletConfig(batch_size=16, sampling="time_contrastive")
+        config = TripletConfig(batch_size=16)
         enc, trace = train_embedding(
             stripped, config, epochs=2, seed=0, loss_mode="svtcn", dim=4, hidden=(8,)
         )
@@ -465,16 +407,6 @@ class TestPca2d:
         X = t[:, None] * np.array([1.0, 2.0, -1.0])[None, :]
         coords = pca2d(X)
         assert np.max(np.abs(coords[:, 1])) < 1e-9
-
-    def test_dump_row_count_and_fields(self):
-        rng = np.random.default_rng(0)
-        embs = []
-        for i in range(5):
-            v = rng.normal(size=3)
-            embs.append(Embedding(v / np.linalg.norm(v), demo_id="d0", frame_index=i))
-        rows = pca2d_dump(embs, labels=[1, 2, 3, 1, 2])
-        assert len(rows) == 5
-        assert rows[0][0] == "d0" and rows[2][2] == 3
 
     def test_projection_residual_not_beaten_by_random_planes(self):
         rng = np.random.default_rng(1)

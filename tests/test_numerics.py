@@ -8,14 +8,12 @@ from motionseg.errors import NumericError, ShapeError
 from motionseg.numerics import (
     Layer,
     MlpParams,
-    adam_step,
     finite_diff_check,
     init_mlp,
-    l2_normalize,
+    l2_normalize_rows,
     mlp_backward,
     mlp_forward,
     pack_arrays,
-    sgd_step,
     unpack_arrays,
 )
 
@@ -140,25 +138,25 @@ def test_finite_diff_nonfinite_loss_raises():
 
 def test_adam_zero_gradient_leaves_params_unchanged():
     p = [np.array([1.0, -2.0])]
-    state = numerics.make_optimizer(p, "adam", lr=0.1)
-    adam_step(p, [np.zeros(2)], state)
+    state = numerics.make_optimizer(p, lr=0.1)
+    numerics.optimizer_step(p, [np.zeros(2)], state)
     np.testing.assert_allclose(p[0], [1.0, -2.0])
     assert state.step == 1
 
 
 def test_adam_first_step_magnitude_is_learning_rate():
     p = [np.zeros(3)]
-    state = numerics.make_optimizer(p, "adam", lr=0.05)
-    adam_step(p, [np.full(3, 7.3)], state)
+    state = numerics.make_optimizer(p, lr=0.05)
+    numerics.optimizer_step(p, [np.full(3, 7.3)], state)
     np.testing.assert_allclose(np.abs(p[0]), 0.05, rtol=1e-6)
 
 
 def test_adam_descends_on_quadratic():
     p = [np.array([1.0, 1.0])]
-    state = numerics.make_optimizer(p, "adam", lr=0.01)
+    state = numerics.make_optimizer(p, lr=0.01)
     norms = []
     for _ in range(100):
-        adam_step(p, [p[0].copy()], state)
+        numerics.optimizer_step(p, [p[0].copy()], state)
         norms.append(np.linalg.norm(p[0]))
     # monotone decrease once past the first few warmup steps
     tail = norms[5:]
@@ -168,33 +166,32 @@ def test_adam_descends_on_quadratic():
 
 def test_adam_rejects_nonfinite_grads():
     p = [np.ones(2)]
-    state = numerics.make_optimizer(p, "adam")
+    state = numerics.make_optimizer(p)
     with pytest.raises(NumericError):
-        adam_step(p, [np.array([1.0, np.inf])], state)
+        numerics.optimizer_step(p, [np.array([1.0, np.inf])], state)
 
 
 def test_optimizers_are_deterministic():
-    for algo, step in (("adam", adam_step), ("sgd", sgd_step)):
-        results = []
-        for _ in range(2):
-            p = [np.array([0.5, -0.5])]
-            state = numerics.make_optimizer(p, algo, lr=0.01)
-            for k in range(5):
-                step(p, [np.array([0.1 * k, -0.2])], state)
-            results.append(p[0].copy())
-        np.testing.assert_array_equal(results[0], results[1])
+    results = []
+    for _ in range(2):
+        p = [np.array([0.5, -0.5])]
+        state = numerics.make_optimizer(p, lr=0.01)
+        for k in range(5):
+            numerics.optimizer_step(p, [np.array([0.1 * k, -0.2])], state)
+        results.append(p[0].copy())
+    np.testing.assert_array_equal(results[0], results[1])
 
 
 def test_adam_on_one_flat_vector_equals_per_array_steps_bit_for_bit():
     rng = np.random.default_rng(11)
     arrays = [rng.normal(size=shape) for shape in ((5, 3), (5,), (2, 5), (2,))]
     flat = [np.concatenate([a.ravel() for a in arrays])]
-    flat_state = numerics.make_optimizer(flat, "adam", lr=0.01)
-    split_state = numerics.make_optimizer(arrays, "adam", lr=0.01)
+    flat_state = numerics.make_optimizer(flat, lr=0.01)
+    split_state = numerics.make_optimizer(arrays, lr=0.01)
     for _ in range(6):
         grads = [rng.normal(size=a.shape) * 10.0 ** rng.integers(-6, 3) for a in arrays]
-        adam_step(arrays, grads, split_state)
-        adam_step(flat, [np.concatenate([g.ravel() for g in grads])], flat_state)
+        numerics.optimizer_step(arrays, grads, split_state)
+        numerics.optimizer_step(flat, [np.concatenate([g.ravel() for g in grads])], flat_state)
         assert flat[0].tobytes() == np.concatenate([a.ravel() for a in arrays]).tobytes()
     assert flat_state.step == split_state.step == 6
 
@@ -230,7 +227,7 @@ def test_optimizer_step_on_flat_changes_forward_output():
     mlp = init_mlp([3, 5, 2], rng=np.random.default_rng(1))
     x = np.array([0.3, -1.2, 0.8])
     before, _ = mlp_forward(mlp, x)
-    state = numerics.make_optimizer([mlp.flat], "adam", lr=0.1)
+    state = numerics.make_optimizer([mlp.flat], lr=0.1)
     numerics.optimizer_step([mlp.flat], [np.ones_like(mlp.flat)], state)
     after, _ = mlp_forward(mlp, x)
     assert not np.allclose(before, after)
@@ -239,18 +236,18 @@ def test_optimizer_step_on_flat_changes_forward_output():
 
 
 def test_l2_normalize_three_four_five():
-    np.testing.assert_allclose(l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8])
+    np.testing.assert_allclose(l2_normalize_rows(np.array([3.0, 4.0]))[0], [0.6, 0.8])
 
 
 def test_l2_normalize_unit_vector_unchanged():
     v = np.array([0.0, 1.0, 0.0])
-    np.testing.assert_allclose(l2_normalize(v), v)
+    np.testing.assert_allclose(l2_normalize_rows(v)[0], v)
 
 
 def test_l2_normalize_degenerate_maps_to_e1():
-    out = l2_normalize(np.zeros(4))
+    out = l2_normalize_rows(np.zeros(4))[0]
     np.testing.assert_array_equal(out, [1.0, 0.0, 0.0, 0.0])
-    out = l2_normalize(np.full(3, 1e-15))
+    out = l2_normalize_rows(np.full(3, 1e-15))[0]
     np.testing.assert_array_equal(out, [1.0, 0.0, 0.0])
 
 
@@ -262,7 +259,7 @@ def test_l2_normalize_degenerate_maps_to_e1():
 )
 def test_l2_normalize_norm_property(values):
     v = np.asarray(values)
-    out = l2_normalize(v)
+    out = l2_normalize_rows(v)[0]
     assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
 
