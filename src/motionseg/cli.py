@@ -23,7 +23,6 @@ from .data import (
     confusion_matrix,
     generate_synthetic,
     load_dataset,
-    mask_labels,
     save_dataset,
     split_leave_one_out,
 )
@@ -31,7 +30,7 @@ from .embedding import LOSS_MODES, encode_array, pca2d
 from .errors import ConfigError, MotionsegError
 from .experiments import GRID_ROWS, fraction_sweep, grid_eval, pose_table
 from .imitation import DECODER_HIDDEN, trajectory_rows
-from .pipeline import SEQ_MODELS, PipelineConfig, predict_frames, run_alternation
+from .pipeline import SEQ_MODELS, PipelineConfig, predict_frames, run_alternation, train_val_split
 
 
 @dataclasses.dataclass
@@ -83,15 +82,12 @@ def parse_config_file(path) -> dict:
 
 
 def _coerce(value: str, default):
-    if isinstance(default, bool):
-        return value.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(value)
     if isinstance(default, float):
         return float(value)
-    if isinstance(default, tuple) or isinstance(default, (list,)):
-        parts = [p for p in value.split(",") if p.strip()]
-        return tuple(int(float(p)) if float(p) == int(float(p)) else float(p) for p in parts)
+    if isinstance(default, tuple):  # layer widths
+        return tuple(int(p) for p in value.split(",") if p.strip())
     return value
 
 
@@ -181,17 +177,14 @@ def cmd_train(args) -> int:
     modelio.save_model(bundle.model, os.path.join(args.out, "seqmodel.model"))
     if bundle.state_map is not None:
         with open(os.path.join(args.out, "state_map.json"), "w", encoding="utf-8") as fh:
-            json.dump({str(k): v for k, v in sorted(bundle.state_map.items())}, fh, sort_keys=True)
+            json.dump({str(k): int(v) for k, v in enumerate(bundle.state_map)}, fh, sort_keys=True)
     write_csv(
         os.path.join(args.out, "trace.csv"),
         ["round", "loss", "train_acc", "val_acc", "n_pseudo"],
         [(m.round, m.embed_loss, m.train_acc, m.val_acc, m.n_pseudo) for m in trace],
     )
     # final-round confusion matrix on the validation split
-    masked = dataset
-    if config.labeled_fraction < 1.0:
-        masked = mask_labels(dataset, config.labeled_fraction, config.seed)
-    _, val = split_leave_one_out(masked, config.val_index)
+    _, val = train_val_split(dataset, config)
     preds, truths = [], []
     for demo in val.demos:
         p, _ = predict_frames(bundle, encode_array(encoder, demo.features))

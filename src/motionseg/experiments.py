@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .data import Dataset, mask_labels, split_leave_one_out
+from .data import Dataset, split_leave_one_out
 from .embedding import IncrementalPca, encode_array, train_embedding
 from .imitation import DECODER_HIDDEN, eval_pose, train_pose_decoder
 from .pipeline import (
@@ -16,6 +16,7 @@ from .pipeline import (
     evaluate_segmentation,
     run_alternation,
     train_sequence_model,
+    train_val_split,
 )
 
 GRID_ROWS = ("ipca", "svtcn", "raw", "npairs", "triplet", "triplet_svtcn")
@@ -76,8 +77,7 @@ def fraction_sweep(dataset: Dataset, fractions, config: PipelineConfig, seeds) -
             _, _, trace = run_alternation(dataset, cfg)
             accs["triplet_rnn_ss"].append(trace[-1].val_acc)
 
-            masked = mask_labels(dataset, float(fraction), int(seed))
-            train, val = split_leave_one_out(masked, config.val_index)
+            train, val = train_val_split(dataset, cfg)
             rng = np.random.default_rng([int(seed), 10_007])
             embed_fn = make_embed_fn("svtcn", train, cfg, seed=int(rng.integers(2**32)))
             bundle = train_sequence_model(

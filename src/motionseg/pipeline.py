@@ -22,7 +22,6 @@ from .seqmodels import (
     crf_marginals,
     crf_train,
     crf_viterbi,
-    greedy_state_label_map,
     hmm_em_fit,
     hmm_forward_backward,
     hmm_viterbi,
@@ -34,7 +33,6 @@ from .seqmodels import (
 )
 from .seqmodels.hmm import hmm_viterbi_batch
 from .seqmodels.hsmm import hsmm_posteriors, hsmm_viterbi_batch
-from .seqmodels.state_map import apply_state_map
 
 SEQ_MODELS = ("knn", "hmm", "hsmm", "crf", "rnn")
 
@@ -84,6 +82,8 @@ class PipelineConfig:
             raise ValueError("rounds must be >= 1")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
+        if not (0.0 < self.labeled_fraction <= 1.0):
+            raise ValueError("labeled_fraction must be in (0, 1]")
         if self.seq_model not in SEQ_MODELS:
             raise ValueError(f"unknown sequence model {self.seq_model!r}")
         if self.loss_mode not in LOSS_MODES:
@@ -104,11 +104,30 @@ class SegmenterBundle:
 
     kind: str
     model: object
-    state_map: dict | None = None
+    state_map: np.ndarray | None = None  # hmm/hsmm: label of each hidden state
 
 
 # ---------------------------------------------------------------------------
 # encoder pretraining and sequence-model fitting
+
+
+def greedy_state_label_map(paths, labels, n_states: int) -> np.ndarray:
+    """(n_states,) label of each hidden state: its majority co-occurring label.
+
+    paths and labels align elementwise; None label entries contribute
+    nothing. A state never seen alongside a label takes the globally most
+    frequent label. Ties break toward the smaller label.
+    """
+    pairs = [(p, lab) for p, lab in zip(paths, labels) if lab is not None]
+    if not pairs:
+        raise ValueError("no labeled frames available for the state-label map")
+    path = np.concatenate([p for p, _ in pairs]).astype(np.int64)
+    lab = np.concatenate([y for _, y in pairs]).astype(np.int64)
+    counts = np.zeros((n_states, lab.max() + 1), dtype=np.int64)
+    np.add.at(counts, (path, lab), 1)
+    state_label = counts.argmax(axis=1)
+    state_label[counts.sum(axis=1) == 0] = counts.sum(axis=0).argmax()
+    return state_label
 
 
 def pretrain_encoder(dataset: Dataset, config: PipelineConfig, seed: int | None = None):
@@ -138,13 +157,13 @@ def train_sequence_model(embed_fn, dataset: Dataset, config: PipelineConfig, see
                          kind: str | None = None) -> SegmenterBundle:
     """Fit the chosen segment model on embedded training demos.
 
-    Supervised kinds (knn, crf, rnn) use the labeled demos; hmm/hsmm fit
-    unsupervised on every training demo and get a greedy state-label map
-    from the labeled subset.
+    Every kind needs a labeled demo. Supervised kinds (knn, crf, rnn) use
+    the labeled demos; hmm/hsmm fit unsupervised on every training demo and
+    get a greedy state-label map from the labeled subset.
     """
     kind = kind or config.seq_model
     labeled = dataset.labeled_demos()
-    if kind in ("knn", "crf", "rnn") and not labeled:
+    if not labeled:
         raise DegenerateDatasetError(f"{kind} needs labeled demos")
     if kind == "knn":
         X = np.vstack([embed_fn(d.features) for d in labeled])
@@ -181,11 +200,10 @@ def train_sequence_model(embed_fn, dataset: Dataset, config: PipelineConfig, see
             )
             decode = hsmm_viterbi_batch
         # labeled demos are a subset of dataset.demos, already embedded above
-        pairs = [(E, d.labels) for E, d in zip(all_embedded, dataset.demos) if d.labels is not None]
-        paths = decode(model, [E for E, _ in pairs])[0] if pairs else []
-        labels = [lab for _, lab in pairs]
-        mapping = greedy_state_label_map(paths, labels)
-        return SegmenterBundle(kind, model, state_map=mapping)
+        labeled_E = [E for E, d in zip(all_embedded, dataset.demos) if d.labels is not None]
+        paths = decode(model, labeled_E)[0]
+        state_label = greedy_state_label_map(paths, [d.labels for d in labeled], K)
+        return SegmenterBundle(kind, model, state_map=state_label)
     raise ValueError(f"unknown sequence model {kind!r}")
 
 
@@ -208,14 +226,11 @@ def predict_frames(bundle: SegmenterBundle, embedded) -> tuple[np.ndarray, np.nd
         else:
             _, gamma, _, _, _ = hsmm_posteriors(bundle.model, E)
             path, _ = hsmm_viterbi(bundle.model, E)
-        mapping = bundle.state_map
-        classes = sorted(set(mapping.values()))
-        label_post = np.zeros((E.shape[0], max(classes) + 1))
-        for state, lab in mapping.items():
-            label_post[:, lab] += gamma[:, state]
-        labels = apply_state_map(mapping, path)
-        conf = label_post[np.arange(E.shape[0]), labels]
-        conf = np.clip(conf, 1e-12, 1.0)
+        state_label = bundle.state_map
+        label_post = np.zeros((E.shape[0], state_label.max() + 1))
+        np.add.at(label_post.T, state_label, gamma.T)  # states summed in index order
+        labels = state_label[path]
+        conf = np.clip(label_post[np.arange(E.shape[0]), labels], 1e-12, 1.0)
         return labels, conf
     raise ValueError(f"unknown bundle kind {bundle.kind!r}")
 
@@ -296,16 +311,21 @@ class RoundMetrics:
     n_pseudo: int = 0
 
 
+def train_val_split(dataset: Dataset, config: PipelineConfig) -> tuple[Dataset, Dataset]:
+    """A run's (train, validation) split: labels masked to whole demos when
+    config.labeled_fraction is below 1, then one demo per demonstrator held out."""
+    if config.labeled_fraction < 1.0:
+        dataset = mask_labels(dataset, config.labeled_fraction, config.seed)
+    return split_leave_one_out(dataset, config.val_index)
+
+
 def run_alternation(dataset: Dataset, config: PipelineConfig):
     """Full semi-supervised loop; returns (encoder, bundle, [RoundMetrics...]).
 
-    The dataset is masked to config.labeled_fraction (whole demos) when the
-    fraction is below 1, then split leave-one-out for validation. Stops
-    early once validation accuracy improves by less than early_stop_tol.
+    Trains and validates on train_val_split(dataset, config). Stops early
+    once validation accuracy improves by less than early_stop_tol.
     """
-    if config.labeled_fraction < 1.0:
-        dataset = mask_labels(dataset, config.labeled_fraction, config.seed)
-    train, val = split_leave_one_out(dataset, config.val_index)
+    train, val = train_val_split(dataset, config)
     rng = np.random.default_rng(config.seed)
 
     def embed_fn_for(encoder):

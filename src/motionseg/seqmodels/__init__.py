@@ -5,7 +5,6 @@ from .hmm import GaussianHmm, hmm_em_fit, hmm_forward_backward, hmm_viterbi
 from .hsmm import Hsmm, hsmm_em_fit, hsmm_loglik, hsmm_viterbi
 from .knn import KnnModel, knn_predict, knn_predict_batch
 from .rnn import BiRnn, RnnConfig, rnn_predict, rnn_predict_sequence, rnn_train
-from .state_map import greedy_state_label_map
 
 __all__ = [
     "BiRnn",
@@ -18,7 +17,6 @@ __all__ = [
     "crf_marginals",
     "crf_train",
     "crf_viterbi",
-    "greedy_state_label_map",
     "hmm_em_fit",
     "hmm_forward_backward",
     "hmm_viterbi",

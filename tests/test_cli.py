@@ -286,6 +286,33 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "w_pos" in err
 
+    @pytest.mark.parametrize("fraction", ["0", "1.5"])
+    def test_labeled_fraction_outside_unit_interval_exits_2(self, tmp_path, capsys, fraction):
+        for source in ("flag", "file"):
+            bad = tmp_path / "bad.txt"
+            bad.write_text(f"[pipeline]\nlabeled_fraction = {fraction}\n" if source == "file" else "")
+            argv = ["train", "--config", str(bad), "--data", str(tmp_path / "missing.json"),
+                    "--out", str(tmp_path / "out")]
+            if source == "flag":
+                argv += ["--labeled-fraction", fraction]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "labeled_fraction" in err
+
+    @pytest.mark.parametrize("command,section,key", [
+        ("train", "pipeline", "encoder_hidden"),
+        ("imitate", "imitate", "decoder_hidden"),
+    ])
+    def test_non_integer_layer_width_exits_2(self, tmp_path, capsys, command, section, key):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"[{section}]\n{key} = 32.5\n")
+        assert main([
+            command, "--config", str(bad), "--data", str(tmp_path / "missing.json"),
+            "--out", str(tmp_path / "out"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"[{section}]" in err and key in err
+
     def test_imitate_config_accepts_interval_ends(self):
         assert ImitateConfig(w_pos=0.0).w_pos == 0.0
         assert ImitateConfig(w_pos=1.0).w_pos == 1.0

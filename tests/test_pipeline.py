@@ -14,6 +14,7 @@ from motionseg.pipeline import (
     run_alternation,
     select_top_k,
     train_sequence_model,
+    train_val_split,
 )
 
 
@@ -209,6 +210,37 @@ class TestAlternation:
         np.testing.assert_array_equal(results[0][0], results[1][0])
         assert results[0][1] == results[1][1]
 
+    @pytest.mark.parametrize("kind", ["hmm", "hsmm"])
+    def test_chain_models_run_at_partial_labels(self, kind):
+        # two labeled demos: their Viterbi paths visit fewer than the 8
+        # states that validation and unlabeled demos may land in
+        ds = make_dataset(seed=0)
+        config = small_config(seq_model=kind, labeled_fraction=0.25, hmm_states=8)
+        _, bundle, trace = run_alternation(ds, config)
+        assert len(trace) == 2 and 0.0 <= trace[-1].val_acc <= 1.0
+        assert bundle.state_map.shape == (8,)
+        assert set(bundle.state_map.tolist()) <= set(range(1, ds.num_classes + 1))
+
+
+class TestTrainValSplit:
+    def test_full_fraction_matches_mask_at_one(self):
+        ds = make_dataset(seed=1)
+        config = small_config(labeled_fraction=1.0)
+        want_split = split_leave_one_out(mask_labels(ds, 1.0, seed=0), 0)
+        for got, want in zip(train_val_split(ds, config), want_split):
+            assert [d.demo_id for d in got.demos] == [d.demo_id for d in want.demos]
+            for a, b in zip(got.demos, want.demos):
+                np.testing.assert_array_equal(a.labels, b.labels)
+
+    def test_partial_fraction_masks_then_splits(self):
+        ds = make_dataset(seed=1)
+        config = small_config(labeled_fraction=0.5, seed=3, val_index=1)
+        train, val = train_val_split(ds, config)
+        want_train, want_val = split_leave_one_out(mask_labels(ds, 0.5, 3), 1)
+        assert [d.demo_id for d in val.demos] == [d.demo_id for d in want_val.demos]
+        assert [d.labels is None for d in train.demos] == [d.labels is None for d in want_train.demos]
+        assert len(train.labeled_demos()) < len(train.demos)
+
 
 def test_fraction_trend_mean_accuracy_non_decreasing():
     # more labeled demonstrations never hurts on seed-averaged means
@@ -248,3 +280,12 @@ class TestPredictFrames:
             assert conf.shape == (demo.num_frames,)
             assert labels.min() >= 1 and labels.max() <= ds.num_classes
             assert (conf > 0).all() and (conf <= 1 + 1e-12).all()
+
+
+@pytest.mark.parametrize("kind", ["knn", "hmm", "hsmm", "crf", "rnn"])
+def test_no_labeled_training_demo_rejected(kind):
+    ds = make_dataset(seed=8)
+    for demo in ds.demos:
+        demo.hidden_labels, demo.labels = demo.labels, None
+    with pytest.raises(DegenerateDatasetError, match=f"{kind} needs labeled demos"):
+        train_sequence_model(lambda F: F, ds, small_config(), seed=0, kind=kind)
