@@ -20,6 +20,8 @@ import numpy as np
 from . import modelio
 from .data import (
     SyntheticConfig,
+    _fmt,
+    _text_lines,
     confusion_matrix,
     generate_synthetic,
     load_dataset,
@@ -27,7 +29,7 @@ from .data import (
     split_leave_one_out,
 )
 from .embedding import LOSS_MODES, encode_array, pca2d
-from .errors import ConfigError, MotionsegError
+from .errors import ConfigError, DataFormatError, MotionsegError
 from .experiments import GRID_ROWS, fraction_sweep, grid_eval, pose_table
 from .imitation import DECODER_HIDDEN, trajectory_rows
 from .pipeline import SEQ_MODELS, PipelineConfig, predict_frames, run_alternation, train_val_split
@@ -53,31 +55,30 @@ CONFIG_SECTIONS = {
 }
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def parse_config_file(path) -> dict:
     """Sectioned key-value text: '[section]' headers, 'key = value' lines."""
     sections: dict[str, dict[str, str]] = {}
     current = None
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip()
-                if current not in CONFIG_SECTIONS:
-                    raise ConfigError(f"unknown config section [{current}] at line {lineno}")
-                sections.setdefault(current, {})
-                continue
-            if "=" not in line or current is None:
-                raise ConfigError(f"expected 'key = value' inside a section at line {lineno}")
-            key, _, value = line.partition("=")
-            sections[current][key.strip()] = value.strip()
+    try:
+        lines = list(_text_lines(path))
+    except DataFormatError as exc:
+        raise ConfigError(f"config file {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if current not in CONFIG_SECTIONS:
+                raise ConfigError(f"unknown config section [{current}] at line {lineno}")
+            sections.setdefault(current, {})
+            continue
+        if "=" not in line or current is None:
+            raise ConfigError(f"expected 'key = value' inside a section at line {lineno}")
+        key, _, value = line.partition("=")
+        sections[current][key.strip()] = value.strip()
     return sections
 
 
@@ -217,10 +218,17 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     sections = parse_config_file(args.config) if args.config else {}
     config = _pipeline_config(args, sections)
+    if not (args.grid or args.sweep):
+        raise ConfigError("eval needs --grid and/or --sweep FRACTIONS")
+    try:  # before any work; PipelineConfig holds the range check
+        fractions = [float(f) for f in (args.sweep or "").split(",") if f.strip()]
+        for fraction in fractions:
+            dataclasses.replace(config, labeled_fraction=fraction)
+    except ValueError as exc:
+        raise ConfigError(f"--sweep {args.sweep!r}: {exc}") from None
     dataset = load_dataset(args.data)
     os.makedirs(args.out, exist_ok=True)
     seeds = [config.seed + i for i in range(args.grid_seeds)]
-    did_work = False
     if args.grid:
         cells = grid_eval(dataset, config, seeds)
         rows = []
@@ -228,9 +236,7 @@ def cmd_eval(args) -> int:
             rows.append((row_name, *[cells[(row_name, c)] for c in SEQ_MODELS]))
         write_csv(os.path.join(args.out, "grid.csv"), ["embedding", *SEQ_MODELS], rows)
         print(f"grid = {os.path.join(args.out, 'grid.csv')}")
-        did_work = True
     if args.sweep:
-        fractions = [float(f) for f in args.sweep.split(",") if f.strip()]
         records = fraction_sweep(dataset, fractions, config, seeds)
         write_csv(
             os.path.join(args.out, "sweep.csv"),
@@ -238,9 +244,6 @@ def cmd_eval(args) -> int:
             [(r["fraction"], r["triplet_rnn_ss"], r["svtcn_rnn"], r["seeds"]) for r in records],
         )
         print(f"sweep = {os.path.join(args.out, 'sweep.csv')}")
-        did_work = True
-    if not did_work:
-        raise ConfigError("eval needs --grid and/or --sweep FRACTIONS")
     return 0
 
 

@@ -82,14 +82,6 @@ class Dataset:
     def num_frames(self) -> int:
         return sum(d.num_frames for d in self.demos)
 
-    def demonstrators(self) -> list[str]:
-        """Demonstrator ids in order of first appearance."""
-        seen = []
-        for d in self.demos:
-            if d.demonstrator_id not in seen:
-                seen.append(d.demonstrator_id)
-        return seen
-
     def labeled_demos(self) -> list[Demonstration]:
         return [d for d in self.demos if d.labels is not None]
 
@@ -277,38 +269,37 @@ def load_dataset(manifest_path) -> Dataset:
     num_classes = feature_width = None
     metadata = {}
     demo_specs = []
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataFormatError("expected 'key = value'", path=manifest_path, line=lineno)
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "format":
-                if value != MANIFEST_FORMAT:
-                    raise SchemaError(f"unsupported format {value!r}", path=manifest_path, line=lineno)
-            elif key == "classes":
-                num_classes = _parse_int(value, manifest_path, lineno)
-            elif key == "feature_width":
-                feature_width = _parse_int(value, manifest_path, lineno)
-            elif key.startswith("meta."):
-                metadata[key[5:]] = value
-            elif key == "demo":
-                parts = value.split("|")
-                if len(parts) != 4:
-                    raise DataFormatError(
-                        "demo line wants demonstrator|demo_id|fps|path",
-                        path=manifest_path,
-                        line=lineno,
-                    )
-                fps = _parse_fps(parts[2], manifest_path, lineno)
-                demo_specs.append((parts[0], parts[1], fps, parts[3], lineno))
-            else:
-                raise SchemaError(f"unknown manifest key {key!r}", path=manifest_path, line=lineno)
-    if num_classes is None or feature_width is None:
-        raise SchemaError("manifest missing classes or feature_width", path=manifest_path)
+    for lineno, raw in enumerate(_text_lines(manifest_path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataFormatError("expected 'key = value'", path=manifest_path, line=lineno)
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key == "format":
+            if value != MANIFEST_FORMAT:
+                raise SchemaError(f"unsupported format {value!r}", path=manifest_path, line=lineno)
+        elif key == "classes":
+            num_classes = _parse_int(value, manifest_path, lineno)
+        elif key == "feature_width":
+            feature_width = _parse_int(value, manifest_path, lineno)
+        elif key.startswith("meta."):
+            metadata[key[5:]] = value
+        elif key == "demo":
+            parts = value.split("|")
+            if len(parts) != 4:
+                raise DataFormatError(
+                    "demo line wants demonstrator|demo_id|fps|path",
+                    path=manifest_path,
+                    line=lineno,
+                )
+            fps = _parse_fps(parts[2], manifest_path, lineno)
+            demo_specs.append((parts[0], parts[1], fps, parts[3], lineno))
+        else:
+            raise SchemaError(f"unknown manifest key {key!r}", path=manifest_path, line=lineno)
+    if num_classes is None or feature_width is None or min(num_classes, feature_width) < 0:
+        raise SchemaError("manifest needs classes and feature_width >= 0", path=manifest_path)
     demos = []
     for demonstrator, demo_id, fps, rel, lineno in demo_specs:
         csv_path = os.path.join(base, rel)
@@ -316,6 +307,15 @@ def load_dataset(manifest_path) -> Dataset:
             raise DataFormatError(f"demo file missing: {rel}", path=manifest_path, line=lineno)
         demos.append(_read_demo_csv(csv_path, demonstrator, demo_id, fps, feature_width))
     return Dataset(demos=demos, num_classes=num_classes, feature_width=feature_width, metadata=metadata)
+
+
+def _text_lines(path):
+    """Yield the lines of a UTF-8 text file; any other bytes raise DataFormatError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            raise DataFormatError("not UTF-8 text", path=path) from None
 
 
 def _parse_int(value, path, lineno) -> int:
@@ -338,33 +338,37 @@ def _parse_fps(value, path, lineno) -> float:
 
 
 def _read_demo_csv(path, demonstrator, demo_id, fps, feature_width) -> Demonstration:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        cols = header.split(",")
-        has_poses = "pose_0" in cols
-        expected = 2 + (POSE_DIM if has_poses else 0) + feature_width
-        if len(cols) != expected:
-            raise SchemaError(
-                f"header has {len(cols)} columns, expected {expected}", path=path, line=1
+    lines = _text_lines(path)
+    cols = next(lines, "").rstrip("\n").split(",")
+    has_poses = "pose_0" in cols
+    expected = 2 + (POSE_DIM if has_poses else 0) + feature_width
+    if len(cols) != expected:
+        raise SchemaError(
+            f"header has {len(cols)} columns, expected {expected}", path=path, line=1
+        )
+    labels, poses, feats = [], [], []
+    for lineno, raw in enumerate(lines, start=2):
+        parts = raw.rstrip("\n").split(",")
+        if len(parts) != expected:
+            raise DataFormatError(
+                f"row has {len(parts)} fields, expected {expected}", path=path, line=lineno
             )
-        labels, poses, feats = [], [], []
-        for lineno, raw in enumerate(fh, start=2):
-            parts = raw.rstrip("\n").split(",")
-            if len(parts) != expected:
-                raise DataFormatError(
-                    f"row has {len(parts)} fields, expected {expected}", path=path, line=lineno
-                )
-            try:
-                labels.append(int(parts[1]))
-                values = [float(p) for p in parts[2:]]
-            except ValueError as exc:
-                raise DataFormatError(f"bad number: {exc}", path=path, line=lineno) from None
-            if has_poses:
-                poses.append(values[:POSE_DIM])
-                feats.append(values[POSE_DIM:])
-            else:
-                feats.append(values)
-    labels_arr = np.asarray(labels, dtype=np.int64)
+        try:
+            labels.append(int(parts[1]))
+            values = [float(p) for p in parts[2:]]
+        except ValueError as exc:
+            raise DataFormatError(f"bad number: {exc}", path=path, line=lineno) from None
+        if has_poses:
+            poses.append(values[:POSE_DIM])
+            feats.append(values[POSE_DIM:])
+        else:
+            feats.append(values)
+    if not labels:
+        raise DataFormatError("demo has no frames", path=path)
+    try:
+        labels_arr = np.asarray(labels, dtype=np.int64)
+    except OverflowError:
+        raise DataFormatError("label outside the int64 range", path=path) from None
     feats_arr = np.asarray(feats, dtype=np.float64)
     poses_arr = np.asarray(poses, dtype=np.float64)
     # float() parses nan and inf; reject them here, at the first offending row

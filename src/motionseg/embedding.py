@@ -48,10 +48,6 @@ class Encoder:
     trained: bool = False
 
     @property
-    def input_width(self) -> int:
-        return self.mlp.in_dim
-
-    @property
     def dim(self) -> int:
         return self.mlp.out_dim
 
@@ -256,7 +252,6 @@ def train_embedding(
     hidden=(256, 64),
     lr: float = 1e-3,
     extra_labels: dict | None = None,
-    encoder: Encoder | None = None,
 ):
     """Train an encoder on a dataset; returns (Encoder, per-step loss trace).
 
@@ -270,10 +265,9 @@ def train_embedding(
     if not dataset.demos:
         raise DegenerateDatasetError("empty dataset")
     rng = np.random.default_rng(seed)
-    if encoder is None:
-        encoder = new_encoder(
-            dataset.feature_width, dim=dim, hidden=hidden, seed=rng.integers(2**32)
-        )
+    encoder = new_encoder(
+        dataset.feature_width, dim=dim, hidden=hidden, seed=rng.integers(2**32)
+    )
     params = [encoder.mlp.flat]
     opt = numerics.make_optimizer(params, lr=lr)
 
@@ -318,7 +312,7 @@ def train_embedding(
                 grad = g if grad is None else grad + g
             numerics.optimizer_step(params, [grad], opt)
             trace.append(total_loss)
-    encoder.trained = encoder.trained or epochs > 0
+    encoder.trained = epochs > 0
     return encoder, trace
 
 

@@ -32,19 +32,16 @@ class ModelInvalidError(MotionsegError, ValueError):
 class DataFormatError(MotionsegError, ValueError):
     """A dataset file failed to parse; carries file and line context."""
 
-    def __init__(self, message, path=None, line=None, column=None):
+    def __init__(self, message, path=None, line=None):
         loc = ""
         if path is not None:
             loc = f" [{path}"
             if line is not None:
                 loc += f":{line}"
-                if column is not None:
-                    loc += f":{column}"
             loc += "]"
         super().__init__(message + loc)
         self.path = path
         self.line = line
-        self.column = column
 
 
 class SchemaError(DataFormatError):

@@ -8,13 +8,14 @@ from dataclasses import replace
 import numpy as np
 
 from .data import Dataset, split_leave_one_out
-from .embedding import IncrementalPca, encode_array, train_embedding
+from .embedding import IncrementalPca, encode_array
 from .imitation import DECODER_HIDDEN, eval_pose, train_pose_decoder
 from .pipeline import (
     SEQ_MODELS,
     PipelineConfig,
     evaluate_segmentation,
     run_alternation,
+    train_encoder,
     train_sequence_model,
     train_val_split,
 )
@@ -35,12 +36,7 @@ def make_embed_fn(row: str, train_dataset: Dataset, config: PipelineConfig, seed
         for s in range(0, frames.shape[0], 256):
             ipca.partial_fit(frames[s : s + 256])
         return ipca.transform
-    loss_mode = _ROW_LOSS[row]
-    tc = replace(config, loss_mode=loss_mode).triplet_config()
-    enc, _ = train_embedding(
-        train_dataset, tc, epochs=config.embed_epochs, seed=seed, loss_mode=loss_mode,
-        dim=config.embed_dim, hidden=config.encoder_hidden, lr=config.embed_lr,
-    )
+    enc, _ = train_encoder(train_dataset, replace(config, loss_mode=_ROW_LOSS[row]), seed)
     return lambda F: encode_array(enc, F)
 
 

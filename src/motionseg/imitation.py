@@ -23,6 +23,7 @@ QUAT_SLICES = (slice(3, 7), slice(11, 15))
 MSE_DIMS = np.asarray([0, 1, 2, 7, 8, 9, 10, 15])
 SCOPES = ("pooled", "per_demonstrator")
 DECODER_HIDDEN = (64, 32)  # hidden widths of the pose decoder, shared by the CLI and pose_table
+DECODER_LR, DECODER_BATCH = 1e-3, 64  # Adam step size and minibatch rows of decoder training
 
 
 @dataclass
@@ -89,7 +90,7 @@ def pose_loss_batch(pred, truth, w_pos: float):
     raw = _quat_rows(pred)
     q = _quat_rows(truth)
     norms = np.linalg.norm(raw, axis=1)
-    dead = norms <= 1e-12
+    dead = norms <= numerics.NORM_FLOOR
     safe = np.where(dead, 1.0, norms)[:, None]
     qhat = raw / safe
     qhat[dead] = (1.0, 0.0, 0.0, 0.0)
@@ -150,8 +151,6 @@ def train_pose_decoder(
     seed: int = 0,
     hidden=DECODER_HIDDEN,
     w_pos: float = 0.5,
-    lr: float = 1e-3,
-    batch_size: int = 64,
 ):
     """Train decoder(s) on frozen embeddings.
 
@@ -165,31 +164,31 @@ def train_pose_decoder(
         raise ValueError(f"unknown scope {scope!r}")
     rng = np.random.default_rng(seed)
     if scope == "pooled":
-        return _train_one(encoder, demos, epochs, rng, hidden, w_pos, lr, batch_size, scope)
+        return _train_one(encoder, demos, epochs, rng, hidden, w_pos, scope)
     decoders = {}
     groups: dict[str, list] = {}
     for demo in demos:
         groups.setdefault(demo.demonstrator_id, []).append(demo)
     for demonstrator in sorted(groups):
         decoders[demonstrator] = _train_one(
-            encoder, groups[demonstrator], epochs, rng, hidden, w_pos, lr, batch_size, scope
+            encoder, groups[demonstrator], epochs, rng, hidden, w_pos, scope
         )
     return decoders
 
 
-def _train_one(encoder, demos, epochs, rng, hidden, w_pos, lr, batch_size, scope):
+def _train_one(encoder, demos, epochs, rng, hidden, w_pos, scope):
     X = np.vstack([encode_array(encoder, d.features) for d in demos])
     Y = np.vstack([d.poses for d in demos])
     decoder = new_pose_decoder(
         X.shape[1], hidden=hidden, w_pos=w_pos, scope=scope, seed=int(rng.integers(2**32))
     )
     params = [decoder.mlp.flat]
-    opt = numerics.make_optimizer(params, lr=lr)
+    opt = numerics.make_optimizer(params, lr=DECODER_LR)
     n = X.shape[0]
     for _ in range(int(epochs)):
         order = rng.permutation(n)
-        for s in range(0, n, batch_size):
-            idx = order[s : s + batch_size]
+        for s in range(0, n, DECODER_BATCH):
+            idx = order[s : s + DECODER_BATCH]
             out, cache = mlp_forward(decoder.mlp, X[idx])
             _, grad_out = pose_loss_batch(out, Y[idx], w_pos)
             grads, _ = mlp_backward(decoder.mlp, cache, grad_out)

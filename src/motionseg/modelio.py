@@ -42,18 +42,18 @@ def _read(path):
     return header["kind"], header["meta"], arrays
 
 
-def _mlp_arrays(mlp: MlpParams, prefix=""):
+def _mlp_arrays(mlp: MlpParams):
     out = {}
     for i, layer in enumerate(mlp.layers):
-        out[f"{prefix}w{i}"] = layer.w
-        out[f"{prefix}b{i}"] = layer.b
+        out[f"w{i}"] = layer.w
+        out[f"b{i}"] = layer.b
     return out
 
 
-def _mlp_from_arrays(arrays, activations, prefix=""):
+def _mlp_from_arrays(arrays, activations):
     layers = []
     for i, act in enumerate(activations):
-        layers.append(Layer(arrays[f"{prefix}w{i}"], arrays[f"{prefix}b{i}"], act))
+        layers.append(Layer(arrays[f"w{i}"], arrays[f"b{i}"], act))
     return MlpParams(layers)
 
 

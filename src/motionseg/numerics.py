@@ -13,6 +13,9 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 ACTIVATIONS = ("relu", "tanh", "identity")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+NORM_FLOOR = 1e-12  # rows with a smaller L2 norm are treated as zero when normalised
+FD_STEP = 1e-5  # central-difference step of finite_diff_check
 
 
 @dataclass
@@ -170,46 +173,34 @@ def flat_grad(param_grads) -> np.ndarray:
 
 @dataclass
 class OptimizerState:
-    """Adam state over a fixed list of parameter arrays."""
+    """Adam state over a fixed list of parameter arrays (m, v: their moments)."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
+    m: list
+    v: list
     step: int = 0
-    m: list = None
-    v: list = None
-
-    def ensure_moments(self, params):
-        if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
 
 
 def make_optimizer(params, lr=1e-3) -> OptimizerState:
-    state = OptimizerState(lr=lr)
-    state.ensure_moments(params)
-    return state
+    return OptimizerState(lr, [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
 
 
 def optimizer_step(params: list, grads: list, state: OptimizerState) -> list:
     """One Adam update, in place. Returns params for convenience."""
-    state.ensure_moments(params)
     if len(grads) != len(params):
         raise ShapeError("grads and params length mismatch")
     for g in grads:
         if not np.all(np.isfinite(g)):
             raise NumericError("non-finite gradient passed to optimizer_step")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.step
-    bc2 = 1.0 - b2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         if not np.all(np.isfinite(p)):
             raise NumericError("optimizer_step produced non-finite parameters")
     return params
@@ -219,11 +210,11 @@ def optimizer_step(params: list, grads: list, state: OptimizerState) -> list:
 # normalization and gradient checking
 
 
-def l2_normalize_rows(x, eps: float = 1e-12) -> np.ndarray:
-    """Unit-normalize each row; rows with norm <= eps map to the basis vector e1."""
+def l2_normalize_rows(x) -> np.ndarray:
+    """Unit-normalize each row; rows with norm <= NORM_FLOOR map to the basis vector e1."""
     x = np.asarray(np.atleast_2d(x), dtype=np.float64)
     norms = np.linalg.norm(x, axis=1)
-    dead = norms <= eps
+    dead = norms <= NORM_FLOOR
     safe = np.where(dead, 1.0, norms)
     out = x / safe[:, None]
     if np.any(dead):
@@ -232,16 +223,16 @@ def l2_normalize_rows(x, eps: float = 1e-12) -> np.ndarray:
     return out
 
 
-def l2_normalize_rows_backward(x, grad_out, eps: float = 1e-12) -> np.ndarray:
+def l2_normalize_rows_backward(x, grad_out) -> np.ndarray:
     """Backprop through xi = x / ||x|| row-wise.
 
-    Degenerate rows (norm <= eps) produce a constant output, so their
+    Degenerate rows (norm <= NORM_FLOOR) produce a constant output, so their
     gradient is zero.
     """
     x = np.asarray(np.atleast_2d(x), dtype=np.float64)
     g = np.atleast_2d(grad_out)
     norms = np.linalg.norm(x, axis=1)
-    dead = norms <= eps
+    dead = norms <= NORM_FLOOR
     safe = np.where(dead, 1.0, norms)
     xi = x / safe[:, None]
     dots = np.sum(xi * g, axis=1, keepdims=True)
@@ -250,14 +241,13 @@ def l2_normalize_rows_backward(x, grad_out, eps: float = 1e-12) -> np.ndarray:
     return grad
 
 
-def finite_diff_check(fn, theta, epsilon: float = 1e-5) -> float:
+def finite_diff_check(fn, theta) -> float:
     """Max relative error between fn's analytic gradient and central differences.
 
-    fn(theta) must return (loss, grad) for a flat float64 vector theta.
-    Relative error per coordinate is |a - fd| / max(|a|, |fd|, 1e-8).
+    fn(theta) must return (loss, grad) for a flat float64 vector theta; each
+    coordinate is probed at +-FD_STEP. Relative error per coordinate is
+    |a - fd| / max(|a|, |fd|, 1e-8).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     theta = np.asarray(theta, dtype=np.float64).copy()
     loss, grad = fn(theta)
     grad = np.asarray(grad, dtype=np.float64)
@@ -268,13 +258,13 @@ def finite_diff_check(fn, theta, epsilon: float = 1e-5) -> float:
     worst = 0.0
     for i in range(theta.size):
         t = theta.copy()
-        t[i] += epsilon
+        t[i] += FD_STEP
         lp, _ = fn(t)
-        t[i] -= 2.0 * epsilon
+        t[i] -= 2.0 * FD_STEP
         lm, _ = fn(t)
         if not (np.isfinite(lp) and np.isfinite(lm)):
             raise NumericError("loss_fn returned non-finite values during probing")
-        fd = (lp - lm) / (2.0 * epsilon)
+        fd = (lp - lm) / (2.0 * FD_STEP)
         err = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-8)
         worst = max(worst, err)
     return worst

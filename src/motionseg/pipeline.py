@@ -89,14 +89,6 @@ class PipelineConfig:
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
 
-    def triplet_config(self) -> TripletConfig:
-        return TripletConfig(
-            margin=self.margin,
-            batch_size=self.batch_size,
-            pos_window=self.pos_window,
-            neg_window=self.neg_window,
-        )
-
 
 @dataclass
 class SegmenterBundle:
@@ -132,24 +124,22 @@ def greedy_state_label_map(paths, labels, n_states: int) -> np.ndarray:
 
 def pretrain_encoder(dataset: Dataset, config: PipelineConfig, seed: int | None = None):
     """Train the encoder on true labels only; returns (Encoder, loss trace)."""
-    labeled = dataset.labeled_demos()
-    if config.loss_mode != "svtcn":
-        if not labeled:
-            raise DegenerateDatasetError("pretraining needs at least one labeled demo")
-        distinct = set()
-        for demo in labeled:
-            distinct.update(np.unique(demo.labels).tolist())
-        if len(distinct) < 2:
-            raise DegenerateDatasetError("pretraining needs >= 2 distinct labels")
+    return train_encoder(dataset, config, config.seed if seed is None else seed)
+
+
+def train_encoder(dataset: Dataset, config: PipelineConfig, seed: int, extra_labels=None):
+    """A fresh encoder trained with config's loss, sampler and sizes on the
+    dataset's visible labels plus extra_labels; returns (Encoder, loss trace)."""
     return train_embedding(
         dataset,
-        config.triplet_config(),
+        TripletConfig(config.margin, config.batch_size, config.pos_window, config.neg_window),
         epochs=config.embed_epochs,
-        seed=config.seed if seed is None else seed,
+        seed=seed,
         loss_mode=config.loss_mode,
         dim=config.embed_dim,
         hidden=config.encoder_hidden,
         lr=config.embed_lr,
+        extra_labels=extra_labels,
     )
 
 
@@ -322,14 +312,15 @@ def train_val_split(dataset: Dataset, config: PipelineConfig) -> tuple[Dataset, 
 def run_alternation(dataset: Dataset, config: PipelineConfig):
     """Full semi-supervised loop; returns (encoder, bundle, [RoundMetrics...]).
 
-    Trains and validates on train_val_split(dataset, config). Stops early
-    once validation accuracy improves by less than early_stop_tol.
+    Trains and validates on train_val_split(dataset, config), rejecting a
+    split without a labeled training demo before any model trains. Stops
+    early once validation accuracy improves by less than early_stop_tol and
+    returns the last round run, even when its validation accuracy fell.
     """
     train, val = train_val_split(dataset, config)
+    if not train.labeled_demos():
+        raise DegenerateDatasetError(f"{config.seq_model} needs labeled demos")
     rng = np.random.default_rng(config.seed)
-
-    def embed_fn_for(encoder):
-        return lambda F: encode_array(encoder, F)
 
     trace: list[RoundMetrics] = []
     encoder = bundle = None
@@ -342,18 +333,10 @@ def run_alternation(dataset: Dataset, config: PipelineConfig):
         else:
             pseudo = infer_pseudo_labels(encoder, bundle, train.unlabeled_demos())
             pseudo_kept = select_top_k(pseudo, config.top_k)
-            encoder, embed_trace = train_embedding(
-                train,
-                config.triplet_config(),
-                epochs=config.embed_epochs,
-                seed=embed_seed,
-                loss_mode=config.loss_mode,
-                dim=config.embed_dim,
-                hidden=config.encoder_hidden,
-                lr=config.embed_lr,
-                extra_labels=_pseudo_to_extra_labels(pseudo_kept),
+            encoder, embed_trace = train_encoder(
+                train, config, embed_seed, extra_labels=_pseudo_to_extra_labels(pseudo_kept)
             )
-        embed_fn = embed_fn_for(encoder)
+        embed_fn = lambda F: encode_array(encoder, F)
         bundle = train_sequence_model(embed_fn, train, config, seed=seq_seed)
         train_acc = evaluate_segmentation(embed_fn, bundle, train.labeled_demos())
         val_acc = evaluate_segmentation(embed_fn, bundle, val.demos)

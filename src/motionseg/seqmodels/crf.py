@@ -107,8 +107,6 @@ def crf_train(
     iterations: int = 100,
     num_basis: int = 32,
     seed: int = 0,
-    step0: float = 1.0,
-    crf: LinearChainCrf | None = None,
 ) -> tuple[LinearChainCrf, list[float]]:
     """Gradient ascent with backtracking; returns (model, objective trace).
 
@@ -118,10 +116,9 @@ def crf_train(
     """
     if not sequences:
         raise ValueError("no training sequences")
-    if crf is None:
-        d = np.atleast_2d(sequences[0][0]).shape[1]
-        crf = new_crf(num_labels, d, num_basis=num_basis, seed=seed)
-    step = step0
+    d = np.atleast_2d(sequences[0][0]).shape[1]
+    crf = new_crf(num_labels, d, num_basis=num_basis, seed=seed)
+    step = 1.0
     obj, g_u, g_t = crf_loglik_and_grad(crf, sequences)
     trace = [obj]
     for _ in range(int(iterations)):

@@ -15,6 +15,8 @@ from ..errors import ModelInvalidError, ShapeError
 from . import chain
 from .chain import log_clip, logsumexp  # noqa: F401  (logsumexp is re-exported)
 
+MIN_COVAR = 1e-4  # diagonal floor added to every fitted covariance
+
 
 @dataclass
 class GaussianHmm:
@@ -114,8 +116,8 @@ def hmm_viterbi(hmm: GaussianHmm, X) -> tuple[np.ndarray, float]:
 # fitting
 
 
-def kmeans_plus_plus(X, K, rng, lloyd_iterations: int = 10) -> np.ndarray:
-    """k-means++ seeding followed by a few Lloyd refinements."""
+def kmeans_plus_plus(X, K, rng) -> np.ndarray:
+    """k-means++ seeding followed by ten Lloyd refinements."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n = X.shape[0]
     centers = np.empty((K, X.shape[1]))
@@ -128,7 +130,7 @@ def kmeans_plus_plus(X, K, rng, lloyd_iterations: int = 10) -> np.ndarray:
         else:
             centers[k] = X[int(rng.choice(n, p=closest / total))]
         closest = np.minimum(closest, np.sum((X - centers[k]) ** 2, axis=1))
-    for _ in range(lloyd_iterations):
+    for _ in range(10):
         d2 = (
             np.sum(X**2, axis=1, keepdims=True)
             - 2.0 * X @ centers.T
@@ -142,24 +144,18 @@ def kmeans_plus_plus(X, K, rng, lloyd_iterations: int = 10) -> np.ndarray:
     return centers
 
 
-def _regularize(cov, min_covar, diagonal):
-    if diagonal:
-        cov = np.diag(np.diag(cov))
-    return cov + min_covar * np.eye(cov.shape[0])
-
-
-def gaussian_m_step(X, g, min_covar, diagonal):
+def gaussian_m_step(X, g):
     """Means and floored covariances of frames X (F, d) under state weights g (F, K)."""
     occ = np.maximum(g.sum(axis=0), 1e-300)
     means = (g.T @ X) / occ[:, None]
     covs = []
     for k in range(g.shape[1]):
         diff = X - means[k]
-        covs.append(_regularize((diff * g[:, k, None]).T @ diff / occ[k], min_covar, diagonal))
+        covs.append((diff * g[:, k, None]).T @ diff / occ[k] + MIN_COVAR * np.eye(X.shape[1]))
     return means, np.stack(covs)
 
 
-def init_gaussian_hmm(sequences, K, seed, min_covar=1e-4, diagonal=False) -> GaussianHmm:
+def init_gaussian_hmm(sequences, K, seed) -> GaussianHmm:
     """k-means++ means, pooled covariance, uniform initial/transition terms."""
     pooled = np.vstack([np.atleast_2d(s) for s in sequences])
     if pooled.shape[0] < K:
@@ -168,7 +164,7 @@ def init_gaussian_hmm(sequences, K, seed, min_covar=1e-4, diagonal=False) -> Gau
     means = kmeans_plus_plus(pooled, K, rng)
     base = np.cov(pooled, rowvar=False, bias=True)
     base = np.atleast_2d(base)
-    cov = _regularize(base, min_covar, diagonal)
+    cov = base + MIN_COVAR * np.eye(base.shape[0])
     covs = np.repeat(cov[None, :, :], K, axis=0)
     return GaussianHmm(
         pi=np.full(K, 1.0 / K), A=np.full((K, K), 1.0 / K), means=means, covs=covs
@@ -180,8 +176,6 @@ def hmm_em_fit(
     K: int,
     iterations: int,
     seed: int,
-    min_covar: float = 1e-4,
-    diagonal: bool = False,
     init: GaussianHmm | None = None,
 ) -> tuple[GaussianHmm, list[float]]:
     """Baum-Welch over a list of (T, d) sequences.
@@ -194,7 +188,7 @@ def hmm_em_fit(
     seqs = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in sequences]
     if not seqs or sum(s.shape[0] for s in seqs) == 0:
         raise ValueError("no training frames")
-    hmm = init if init is not None else init_gaussian_hmm(seqs, K, seed, min_covar, diagonal)
+    hmm = init if init is not None else init_gaussian_hmm(seqs, K, seed)
     K = hmm.n_states
     X, lengths = chain.stack(seqs)
     trace = []
@@ -202,7 +196,7 @@ def hmm_em_fit(
         gamma, xi, logz = chain.forward_backward(*_chain_args(hmm, X, lengths))
         trace.append(float(logz.sum()))
         first = gamma[:, 0].sum(axis=0)
-        means, covs = gaussian_m_step(X, gamma[chain.valid(lengths, gamma.shape[1])], min_covar, diagonal)
+        means, covs = gaussian_m_step(X, gamma[chain.valid(lengths, gamma.shape[1])])
         del gamma  # frees the posteriors before the next E-step allocates its own
         pi = first / first.sum()
         row = xi.sum(axis=1)

@@ -204,33 +204,26 @@ def hsmm_em_fit(
     iterations: int,
     seed: int,
     d_max: int = 60,
-    min_covar: float = 1e-4,
-    diagonal: bool = False,
-    init: Hsmm | None = None,
 ) -> tuple[Hsmm, list[float]]:
     """EM for the explicit-duration model; mirrors hmm_em_fit's trace contract."""
     seqs = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in sequences]
     if not seqs:
         raise ValueError("no training sequences")
-    if init is not None:
-        hsmm = init
-        K = hsmm.n_states
-    else:
-        base = init_gaussian_hmm(seqs, K, seed, min_covar, diagonal)
-        avg_t = np.mean([s.shape[0] for s in seqs])
-        lam0 = float(np.clip(avg_t / (2.0 * K), 1.5, max(d_max / 2.0, 1.5)))
-        A = np.full((K, K), 1.0 / (K - 1)) if K > 1 else np.zeros((1, 1))
-        np.fill_diagonal(A, 0.0)
-        hsmm = Hsmm(
-            pi=base.pi, A=A, means=base.means, covs=base.covs,
-            lambdas=np.full(K, lam0), d_max=d_max,
-        )
+    base = init_gaussian_hmm(seqs, K, seed)
+    avg_t = np.mean([s.shape[0] for s in seqs])
+    lam0 = float(np.clip(avg_t / (2.0 * K), 1.5, max(d_max / 2.0, 1.5)))
+    A = np.full((K, K), 1.0 / (K - 1)) if K > 1 else np.zeros((1, 1))
+    np.fill_diagonal(A, 0.0)
+    hsmm = Hsmm(
+        pi=base.pi, A=A, means=base.means, covs=base.covs,
+        lambdas=np.full(K, lam0), d_max=d_max,
+    )
     X, lengths = chain.stack(seqs)
     trace = []
     for _ in range(int(iterations)):
         loglik, gamma, xi_acc, rho_acc, dur_acc = _posteriors(hsmm, X, lengths)
         trace.append(float(loglik.sum()))
-        means, covs = gaussian_m_step(X, gamma[chain.valid(lengths, gamma.shape[1])], min_covar, diagonal)
+        means, covs = gaussian_m_step(X, gamma[chain.valid(lengths, gamma.shape[1])])
         del gamma  # frees the posteriors before the next E-step allocates its own
 
         pi = rho_acc / rho_acc.sum()

@@ -264,7 +264,6 @@ def rnn_train(
     config: RnnConfig,
     epochs: int,
     seed: int,
-    rnn: BiRnn | None = None,
 ) -> tuple[BiRnn, list[float]]:
     """Train on labeled embedded sequences; returns (model, per-batch loss trace)."""
     from .. import numerics
@@ -276,10 +275,9 @@ def rnn_train(
         if lab.size and (lab.min() < 1 or lab.max() > num_labels):
             raise ValueError(f"labels must lie in 1..{num_labels}")
     rng = np.random.default_rng(seed)
-    if rnn is None:
-        rnn = new_birnn(
-            wins[0].shape[1], num_labels, config.hidden, config.stride, seed=rng.integers(2**32)
-        )
+    rnn = new_birnn(
+        wins[0].shape[1], num_labels, config.hidden, config.stride, seed=rng.integers(2**32)
+    )
     params = rnn.param_arrays()
     opt = numerics.make_optimizer(params, lr=config.lr)
     trace = []

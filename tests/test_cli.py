@@ -198,6 +198,16 @@ class TestEval:
         assert len(lines) == 3
         assert [line.split(",")[0] for line in lines[1:]] == ["0.4", "1.0"]
 
+    @pytest.mark.parametrize("sweep", ["abc", "0,1.5"])
+    def test_bad_sweep_exits_2(self, workspace, capsys, sweep):
+        assert main([
+            "eval", "--config", str(workspace / "config.txt"),
+            "--data", data_manifest(workspace), "--out", str(workspace / "sw_bad"),
+            "--sweep", sweep,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--sweep" in err
+
     def test_eval_without_work_exits_2(self, workspace):
         assert main([
             "eval", "--config", str(workspace / "config.txt"),
@@ -312,6 +322,16 @@ class TestConfigErrors:
         ]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"[{section}]" in err and key in err
+
+    def test_non_utf8_config_exits_2_naming_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"[pipeline]\nrounds = 1\xff\n")
+        assert main([
+            "train", "--config", str(bad), "--data", str(tmp_path / "missing.json"),
+            "--out", str(tmp_path / "out"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "UTF-8" in err and str(bad) in err
 
     def test_imitate_config_accepts_interval_ends(self):
         assert ImitateConfig(w_pos=0.0).w_pos == 0.0

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from motionseg.data import (
     segmentation_accuracy,
     split_leave_one_out,
 )
-from motionseg.errors import DataFormatError, SchemaError, ShapeError
+from motionseg.errors import DataFormatError, MotionsegError, SchemaError, ShapeError
 
 
 def default_config(**overrides):
@@ -171,6 +173,75 @@ class TestSerialization:
     def test_missing_manifest_errors(self, tmp_path):
         with pytest.raises(DataFormatError):
             load_dataset(tmp_path / "nope" / "manifest.txt")
+
+    @pytest.mark.parametrize("name", ["manifest.txt", "demos/demo_0001.csv"])
+    def test_non_utf8_file_named(self, tmp_path, name):
+        manifest = save_dataset(generate_synthetic(default_config(seed=10)), tmp_path / "out")
+        path = tmp_path / "out" / name
+        path.write_bytes(path.read_bytes()[:40] + b"\xff" + path.read_bytes()[40:])
+        with pytest.raises(DataFormatError, match="not UTF-8") as info:
+            load_dataset(manifest)
+        assert info.value.path == str(path)
+
+    def test_header_only_csv_named(self, tmp_path):
+        manifest = save_dataset(generate_synthetic(default_config(seed=11)), tmp_path / "out")
+        csv = tmp_path / "out" / "demos" / "demo_0002.csv"
+        csv.write_text(csv.read_text().splitlines()[0] + "\n")
+        with pytest.raises(DataFormatError, match="no frames") as info:
+            load_dataset(manifest)
+        assert info.value.path == str(csv)
+
+    def test_negative_feature_width_rejected(self, tmp_path):
+        (tmp_path / "demos").mkdir()
+        (tmp_path / "demos" / "d.csv").write_text("frame_index\n0\n")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("classes = 2\nfeature_width = -1\ndemo = a|a0|3.0|demos/d.csv\n")
+        with pytest.raises(SchemaError, match="feature_width"):
+            load_dataset(manifest)
+
+    def test_label_beyond_int64_rejected(self, tmp_path):
+        manifest = self._corrupt_field(tmp_path, 12, line=2, field=1, value="9" * 20)
+        with pytest.raises(DataFormatError, match="label") as info:
+            load_dataset(manifest)
+        assert info.value.path.endswith("demo_0001.csv")
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    ds = generate_synthetic(
+        default_config(demonstrators=1, num_classes=2, feature_width=2, mean_durations=2.0, seed=13)
+    )
+    return os.path.dirname(save_dataset(ds, tmp_path_factory.mktemp("fuzz")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(["manifest.txt", "demos/demo_0000.csv", "demos/demo_0001.csv"]),
+    # each edit replaces `cut` bytes at `at` (mod the file length) with `put`
+    edits=st.lists(
+        st.tuples(st.integers(0, 1 << 16), st.integers(0, 3), st.binary(max_size=3)),
+        min_size=1, max_size=4,
+    ),
+)
+def test_loader_fuzz_fails_only_with_library_or_os_errors(fuzz_root, name, edits):
+    """Any byte-level corruption of a saved dataset either still loads or
+    raises a MotionsegError (exit 1 from the CLI) or an OSError."""
+    path = os.path.join(fuzz_root, name)
+    with open(path, "rb") as fh:
+        original = fh.read()
+    data = bytearray(original)
+    for at, cut, put in edits:
+        at %= len(data) + 1
+        data[at : at + cut] = put
+    with open(path, "wb") as fh:
+        fh.write(data)
+    try:
+        load_dataset(os.path.join(fuzz_root, "manifest.txt"))
+    except (MotionsegError, OSError):
+        pass
+    finally:
+        with open(path, "wb") as fh:
+            fh.write(original)
 
 
 class TestSplits:

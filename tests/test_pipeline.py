@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from motionseg import pipeline
 from motionseg.data import SyntheticConfig, generate_synthetic, mask_labels, split_leave_one_out
 from motionseg.embedding import encode_array
 from motionseg.errors import DegenerateDatasetError, UnfittedModelError
@@ -183,6 +184,19 @@ class TestAlternation:
         _, _, trace = run_alternation(ds, config)
         assert len(trace) == 3
         assert [m.round for m in trace] == [1, 2, 3]
+
+    def test_no_labeled_training_demo_rejected_before_encoder_training(self, monkeypatch):
+        ds = make_dataset(seed=8)
+        for demo in ds.demos:
+            if not demo.demo_id.endswith("_t0"):  # val_index 0 holds out each "_t0" demo
+                demo.hidden_labels, demo.labels = demo.labels, None
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("the encoder trained before the labeled-demo check")
+
+        monkeypatch.setattr(pipeline, "train_embedding", no_training)
+        with pytest.raises(DegenerateDatasetError, match="hmm needs labeled demos"):
+            run_alternation(ds, small_config(loss_mode="svtcn", seq_model="hmm"))
 
     def test_early_stop_truncates_trace(self):
         ds = make_dataset(seed=5)

@@ -65,7 +65,7 @@ def test_bptt_matches_finite_differences():
         grads = birnn_backward(trial, cache, dlogits)
         return loss, pack_arrays(grads)[0]
 
-    assert finite_diff_check(fn, flat0, epsilon=1e-5) < 1e-4
+    assert finite_diff_check(fn, flat0) < 1e-4
 
 
 def test_reversed_window_with_swapped_cells_reverses_prediction():
@@ -173,7 +173,7 @@ def test_bptt_matches_finite_differences_on_ragged_batch():
         loss, dlogits = cross_entropy_and_grad(logits, y, mask)
         return loss, pack_arrays(birnn_backward(trial, cache, dlogits))[0]
 
-    assert finite_diff_check(fn, flat0, epsilon=1e-5) < 1e-4
+    assert finite_diff_check(fn, flat0) < 1e-4
 
 
 def test_empty_sequence_raises():
