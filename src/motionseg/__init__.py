@@ -19,7 +19,7 @@ from .data import (
     segmentation_accuracy,
     split_leave_one_out,
 )
-from .embedding import Encoder, TripletConfig, train_embedding
+from .embedding import Encoder, train_embedding
 from .pipeline import PipelineConfig, PseudoLabel, run_alternation
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "PipelineConfig",
     "PseudoLabel",
     "SyntheticConfig",
-    "TripletConfig",
     "confusion_matrix",
     "generate_synthetic",
     "load_dataset",

@@ -28,11 +28,18 @@ from .data import (
     save_dataset,
     split_leave_one_out,
 )
-from .embedding import LOSS_MODES, encode_array, pca2d
+from .embedding import encode_array, pca2d
 from .errors import ConfigError, DataFormatError, MotionsegError
 from .experiments import GRID_ROWS, fraction_sweep, grid_eval, pose_table
 from .imitation import DECODER_HIDDEN, trajectory_rows
-from .pipeline import SEQ_MODELS, PipelineConfig, predict_frames, run_alternation, train_val_split
+from .pipeline import (
+    LOSS_MODES,
+    SEQ_MODELS,
+    PipelineConfig,
+    predict_frames,
+    run_alternation,
+    train_val_split,
+)
 
 
 @dataclasses.dataclass
@@ -220,6 +227,8 @@ def cmd_eval(args) -> int:
     config = _pipeline_config(args, sections)
     if not (args.grid or args.sweep):
         raise ConfigError("eval needs --grid and/or --sweep FRACTIONS")
+    if args.grid_seeds < 1:
+        raise ConfigError(f"--grid-seeds must be >= 1, got {args.grid_seeds}")
     try:  # before any work; PipelineConfig holds the range check
         fractions = [float(f) for f in (args.sweep or "").split(",") if f.strip()]
         for fraction in fractions:
@@ -251,13 +260,13 @@ def cmd_imitate(args) -> int:
     sections = parse_config_file(args.config) if args.config else {}
     config = _pipeline_config(args, sections)
     imitate = build_dataclass(ImitateConfig, sections.get("imitate", {}))
+    if not args.noise_sigma >= 0:  # also rejects nan
+        raise ConfigError(f"--noise-sigma must be >= 0, got {args.noise_sigma}")
     dataset = load_dataset(args.data)
     if any(d.poses is None for d in dataset.demos):
         raise MotionsegError("dataset lacks poses; imitate needs pose ground truth")
     os.makedirs(args.out, exist_ok=True)
-    noise_sigmas = [0.0]
-    if args.noise_sigma and args.noise_sigma > 0:
-        noise_sigmas.append(args.noise_sigma)
+    noise_sigmas = [0.0, args.noise_sigma] if args.noise_sigma > 0 else [0.0]
     rows, encoder, decoders = pose_table(
         dataset, config, noise_sigmas=noise_sigmas, seed=config.seed,
         decoder_hidden=imitate.decoder_hidden, decoder_epochs=imitate.decoder_epochs,

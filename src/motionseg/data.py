@@ -131,7 +131,7 @@ class SyntheticConfig:
             raise SchemaError("mean durations must be >= 1 frame")
         return out
 
-    def validate(self):
+    def __post_init__(self):
         if self.num_classes < 2:
             raise SchemaError("need at least 2 classes")
         if self.demonstrators < 1 or self.demos_per_demonstrator < 1 or self.cycles < 1:
@@ -146,7 +146,6 @@ def _unit_rows(rng, shape):
 
 def generate_synthetic(config: SyntheticConfig) -> Dataset:
     """Deterministic synthetic dataset; identical config (incl. seed) -> identical data."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     C, F = config.num_classes, config.feature_width
     M = config.demonstrators

@@ -25,23 +25,6 @@ from .numerics import (
     mlp_forward,
 )
 
-LOSS_MODES = ("triplet", "npairs", "svtcn", "triplet_tcn")
-
-
-@dataclass
-class TripletConfig:
-    margin: float = 0.2
-    batch_size: int = 128
-    pos_window: int = 6
-    neg_window: int = 12
-
-    def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
-        if not (0 < self.pos_window < self.neg_window):
-            raise ValueError("need neg_window > pos_window > 0")
-
-
 @dataclass
 class Encoder:
     mlp: MlpParams
@@ -242,34 +225,27 @@ def _labeled_pool(dataset, extra_labels):
     return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
 
 
-def train_embedding(
-    dataset,
-    config: TripletConfig,
-    epochs: int,
-    seed: int,
-    loss_mode: str = "triplet",
-    dim: int = 32,
-    hidden=(256, 64),
-    lr: float = 1e-3,
-    extra_labels: dict | None = None,
-):
+def train_embedding(dataset, config, seed: int, extra_labels: dict | None = None):
     """Train an encoder on a dataset; returns (Encoder, per-step loss trace).
 
-    loss_mode selects the objective: "triplet" (supervised), "npairs",
-    "svtcn" (unsupervised time-contrastive), or "triplet_tcn" (equal-weight sum
-    of supervised triplet and time-contrastive terms). extra_labels maps
-    demo_id -> {frame -> label} and is merged with visible labels.
+    config is a pipeline.PipelineConfig; its embedding fields (loss_mode,
+    margin, batch_size, pos_window, neg_window, embed_dim, encoder_hidden,
+    embed_lr, embed_epochs) set the run. loss_mode selects the objective:
+    "triplet" (supervised), "npairs", "svtcn" (unsupervised time-contrastive),
+    or "triplet_tcn" (equal-weight sum of supervised triplet and
+    time-contrastive terms). extra_labels maps demo_id -> {frame -> label}
+    and is merged with visible labels.
     """
-    if loss_mode not in LOSS_MODES:
-        raise ValueError(f"unknown loss mode {loss_mode!r}")
     if not dataset.demos:
         raise DegenerateDatasetError("empty dataset")
+    loss_mode, epochs = config.loss_mode, config.embed_epochs
     rng = np.random.default_rng(seed)
     encoder = new_encoder(
-        dataset.feature_width, dim=dim, hidden=hidden, seed=rng.integers(2**32)
+        dataset.feature_width, dim=config.embed_dim, hidden=config.encoder_hidden,
+        seed=rng.integers(2**32),
     )
     params = [encoder.mlp.flat]
-    opt = numerics.make_optimizer(params, lr=lr)
+    opt = numerics.make_optimizer(params, lr=config.embed_lr)
 
     supervised = loss_mode in ("triplet", "npairs", "triplet_tcn")
     contrastive = loss_mode in ("svtcn", "triplet_tcn")
@@ -296,7 +272,7 @@ def train_embedding(
             if supervised:
                 chunk = order[step * config.batch_size : (step + 1) * config.batch_size]
                 if chunk.size:
-                    part = _supervised_step(dataset, pool[chunk], config, loss_mode, rng, encoder)
+                    part = _supervised_step(dataset, pool[chunk], config, rng, encoder)
                     if part is not None:
                         parts.append(part)
             if contrastive:
@@ -326,14 +302,14 @@ def _forward_loss_backward(encoder, X, loss_on_embeddings):
     return loss, grads
 
 
-def _supervised_step(dataset, rows, config, loss_mode, rng, encoder):
+def _supervised_step(dataset, rows, config, rng, encoder):
     labels = rows[:, 2]
     uniq, counts = np.unique(labels, return_counts=True)
     if uniq.size < 2 or counts.max() < 2:
         return None  # chunk cannot form triplets or pairs
     # row by row: a copy of the whole pool's features would add N*F floats to peak memory
     X = np.array([dataset.demos[di].features[t] for di, t in rows[:, :2].tolist()])
-    if loss_mode == "npairs":
+    if config.loss_mode == "npairs":
         ai, pi, pair_labels = sample_npairs(labels, rng)
         if len(ai) < 2:
             return None

@@ -14,8 +14,8 @@ from .pipeline import (
     SEQ_MODELS,
     PipelineConfig,
     evaluate_segmentation,
+    pretrain_encoder,
     run_alternation,
-    train_encoder,
     train_sequence_model,
     train_val_split,
 )
@@ -36,7 +36,7 @@ def make_embed_fn(row: str, train_dataset: Dataset, config: PipelineConfig, seed
         for s in range(0, frames.shape[0], 256):
             ipca.partial_fit(frames[s : s + 256])
         return ipca.transform
-    enc, _ = train_encoder(train_dataset, replace(config, loss_mode=_ROW_LOSS[row]), seed)
+    enc, _ = pretrain_encoder(train_dataset, replace(config, loss_mode=_ROW_LOSS[row]), seed)
     return lambda F: encode_array(enc, F)
 
 

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, mask_labels, split_leave_one_out
-from .embedding import LOSS_MODES, Encoder, TripletConfig, encode_array, train_embedding
+from .embedding import Encoder, encode_array, train_embedding
 from .errors import DegenerateDatasetError, UnfittedModelError
 from .seqmodels import (
     KnnModel,
-    RnnConfig,
     crf_marginals,
     crf_train,
     crf_viterbi,
@@ -34,6 +33,7 @@ from .seqmodels import (
 from .seqmodels.hmm import hmm_viterbi_batch
 from .seqmodels.hsmm import hsmm_posteriors, hsmm_viterbi_batch
 
+LOSS_MODES = ("triplet", "npairs", "svtcn", "triplet_tcn")
 SEQ_MODELS = ("knn", "hmm", "hsmm", "crf", "rnn")
 
 
@@ -49,7 +49,7 @@ class PseudoLabel:
 class PipelineConfig:
     rounds: int = 3
     top_k: int = 100  # frames kept per class per round
-    stride: int = 64
+    stride: int = 64  # rnn window length in frames
     loss_mode: str = "triplet"
     seq_model: str = "rnn"
     labeled_fraction: float = 1.0
@@ -78,10 +78,14 @@ class PipelineConfig:
     knn_k: int = 5
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+        for name in ("rounds", "top_k", "stride", "batch_size", "embed_dim", "rnn_hidden",
+                     "rnn_batch", "hmm_states", "d_max", "knn_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.margin <= 0:
+            raise ValueError("margin must be positive")
+        if not (0 < self.pos_window < self.neg_window):
+            raise ValueError("need neg_window > pos_window > 0")
         if not (0.0 < self.labeled_fraction <= 1.0):
             raise ValueError("labeled_fraction must be in (0, 1]")
         if self.seq_model not in SEQ_MODELS:
@@ -124,23 +128,7 @@ def greedy_state_label_map(paths, labels, n_states: int) -> np.ndarray:
 
 def pretrain_encoder(dataset: Dataset, config: PipelineConfig, seed: int | None = None):
     """Train the encoder on true labels only; returns (Encoder, loss trace)."""
-    return train_encoder(dataset, config, config.seed if seed is None else seed)
-
-
-def train_encoder(dataset: Dataset, config: PipelineConfig, seed: int, extra_labels=None):
-    """A fresh encoder trained with config's loss, sampler and sizes on the
-    dataset's visible labels plus extra_labels; returns (Encoder, loss trace)."""
-    return train_embedding(
-        dataset,
-        TripletConfig(config.margin, config.batch_size, config.pos_window, config.neg_window),
-        epochs=config.embed_epochs,
-        seed=seed,
-        loss_mode=config.loss_mode,
-        dim=config.embed_dim,
-        hidden=config.encoder_hidden,
-        lr=config.embed_lr,
-        extra_labels=extra_labels,
-    )
+    return train_embedding(dataset, config, config.seed if seed is None else seed)
 
 
 def train_sequence_model(embed_fn, dataset: Dataset, config: PipelineConfig, seed: int,
@@ -162,13 +150,7 @@ def train_sequence_model(embed_fn, dataset: Dataset, config: PipelineConfig, see
     if kind == "rnn":
         seqs = [embed_fn(d.features) for d in labeled]
         labs = [d.labels for d in labeled]
-        rnn_config = RnnConfig(
-            hidden=config.rnn_hidden, stride=config.stride,
-            batch_size=config.rnn_batch, lr=config.rnn_lr,
-        )
-        rnn, _ = rnn_train(
-            seqs, labs, dataset.num_classes, rnn_config, epochs=config.rnn_epochs, seed=seed
-        )
+        rnn, _ = rnn_train(seqs, labs, dataset.num_classes, config, seed=seed)
         return SegmenterBundle("rnn", rnn)
     if kind == "crf":
         seqs = [(embed_fn(d.features), d.labels) for d in labeled]
@@ -333,7 +315,7 @@ def run_alternation(dataset: Dataset, config: PipelineConfig):
         else:
             pseudo = infer_pseudo_labels(encoder, bundle, train.unlabeled_demos())
             pseudo_kept = select_top_k(pseudo, config.top_k)
-            encoder, embed_trace = train_encoder(
+            encoder, embed_trace = train_embedding(
                 train, config, embed_seed, extra_labels=_pseudo_to_extra_labels(pseudo_kept)
             )
         embed_fn = lambda F: encode_array(encoder, F)

@@ -4,7 +4,7 @@ from .crf import LinearChainCrf, crf_log_partition, crf_marginals, crf_train, cr
 from .hmm import GaussianHmm, hmm_em_fit, hmm_forward_backward, hmm_viterbi
 from .hsmm import Hsmm, hsmm_em_fit, hsmm_loglik, hsmm_viterbi
 from .knn import KnnModel, knn_predict, knn_predict_batch
-from .rnn import BiRnn, RnnConfig, rnn_predict, rnn_predict_sequence, rnn_train
+from .rnn import BiRnn, rnn_predict, rnn_predict_sequence, rnn_train
 
 __all__ = [
     "BiRnn",
@@ -12,7 +12,6 @@ __all__ = [
     "Hsmm",
     "KnnModel",
     "LinearChainCrf",
-    "RnnConfig",
     "crf_log_partition",
     "crf_marginals",
     "crf_train",

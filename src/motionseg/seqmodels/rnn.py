@@ -123,14 +123,6 @@ def lstm_backward(cell: LstmCell, caches, grad_h_seq):
 
 
 @dataclass
-class RnnConfig:
-    hidden: int = 256
-    stride: int = 64  # window length in frames
-    batch_size: int = 8
-    lr: float = 1e-2
-
-
-@dataclass
 class BiRnn:
     fwd: LstmCell
     bwd: LstmCell
@@ -257,15 +249,12 @@ def _pad_batch(wins, wlabs):
     return X, y, lengths, mask
 
 
-def rnn_train(
-    sequences,
-    labels,
-    num_labels: int,
-    config: RnnConfig,
-    epochs: int,
-    seed: int,
-) -> tuple[BiRnn, list[float]]:
-    """Train on labeled embedded sequences; returns (model, per-batch loss trace)."""
+def rnn_train(sequences, labels, num_labels: int, config, seed: int) -> tuple[BiRnn, list[float]]:
+    """Train on labeled embedded sequences; returns (model, per-batch loss trace).
+
+    config is a pipeline.PipelineConfig; rnn_hidden, stride (the window
+    length), rnn_batch, rnn_lr and rnn_epochs set the run.
+    """
     from .. import numerics
 
     wins, wlabs = make_windows(sequences, labels, config.stride)
@@ -276,15 +265,15 @@ def rnn_train(
             raise ValueError(f"labels must lie in 1..{num_labels}")
     rng = np.random.default_rng(seed)
     rnn = new_birnn(
-        wins[0].shape[1], num_labels, config.hidden, config.stride, seed=rng.integers(2**32)
+        wins[0].shape[1], num_labels, config.rnn_hidden, config.stride, seed=rng.integers(2**32)
     )
     params = rnn.param_arrays()
-    opt = numerics.make_optimizer(params, lr=config.lr)
+    opt = numerics.make_optimizer(params, lr=config.rnn_lr)
     trace = []
-    for _ in range(int(epochs)):
+    for _ in range(int(config.rnn_epochs)):
         order = rng.permutation(len(wins))
-        for s in range(0, len(order), config.batch_size):
-            chunk = order[s : s + config.batch_size]
+        for s in range(0, len(order), config.rnn_batch):
+            chunk = order[s : s + config.rnn_batch]
             X, y, lengths, mask = _pad_batch([wins[i] for i in chunk], [wlabs[i] for i in chunk])
             logits, cache = birnn_forward(rnn, X, lengths)
             loss, dlogits = cross_entropy_and_grad(logits, y, mask)

@@ -5,7 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motionseg.cli import ImitateConfig, _pipeline_config, build_parser, main
+from motionseg.cli import (
+    CONFIG_SECTIONS,
+    ImitateConfig,
+    _pipeline_config,
+    build_dataclass,
+    build_parser,
+    main,
+    parse_config_file,
+)
 
 TINY_CONFIG = """
 [synthetic]
@@ -214,6 +222,15 @@ class TestEval:
             "--data", data_manifest(workspace), "--out", str(workspace / "ev2"),
         ]) == 2
 
+    @pytest.mark.parametrize("work", [["--grid"], ["--sweep", "0.5"]])
+    def test_grid_seeds_below_one_exits_2_before_reading_data(self, tmp_path, capsys, work):
+        assert main([
+            "eval", "--data", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "out"),
+            "--grid-seeds", "0", *work,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--grid-seeds" in err
+
 
 class TestImitate:
     def test_metrics_rows_and_trajectory(self, workspace, capsys):
@@ -237,6 +254,15 @@ class TestImitate:
         ds = load_dataset(data_manifest(workspace))
         _, test = split_leave_one_out(ds, 0)
         assert len(traj) - 1 == test.num_frames
+
+    @pytest.mark.parametrize("sigma", ["-0.1", "nan"])
+    def test_bad_noise_sigma_exits_2_before_reading_data(self, tmp_path, capsys, sigma):
+        assert main([
+            "imitate", "--data", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "out"),
+            "--noise-sigma", sigma,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--noise-sigma" in err
 
 
 class TestEmbedDump:
@@ -333,6 +359,31 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "UTF-8" in err and str(bad) in err
 
+    @pytest.mark.parametrize("key,value", [
+        ("batch_size", "0"), ("stride", "0"), ("rnn_batch", "0"), ("rnn_hidden", "0"),
+        ("embed_dim", "0"), ("hmm_states", "0"), ("d_max", "0"), ("knn_k", "0"),
+        ("margin", "0"), ("pos_window", "20"),
+    ])
+    def test_out_of_range_pipeline_value_exits_2(self, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"[pipeline]\n{key} = {value}\n")
+        assert main([
+            "train", "--config", str(bad), "--data", str(tmp_path / "missing.txt"),
+            "--out", str(tmp_path / "out"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [pipeline]") and key in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("num_classes", "1"), ("demonstrators", "0"), ("mean_durations", "0.5"),
+    ])
+    def test_out_of_range_synthetic_value_exits_2(self, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"[synthetic]\n{key} = {value}\n")
+        assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: [synthetic]")
+        assert not (tmp_path / "out").exists()
+
     def test_imitate_config_accepts_interval_ends(self):
         assert ImitateConfig(w_pos=0.0).w_pos == 0.0
         assert ImitateConfig(w_pos=1.0).w_pos == 1.0
@@ -354,3 +405,16 @@ def test_unknown_seq_model_exits_2(command, capsys):
         main([command, "--data", "d.json", "--out", "o", "--seq-model", "nope"])
     assert exc.value.code == 2
     assert "--seq-model" in capsys.readouterr().err
+
+
+def test_shipped_configs_parse_with_their_documented_commands():
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    assert paths
+    for path in paths:
+        for section, raw in parse_config_file(path).items():
+            build_dataclass(CONFIG_SECTIONS[section], raw)
+        commands = [line.split()[2:] for line in path.read_text().splitlines()
+                    if line.startswith("#   motionseg ")]
+        assert commands, path
+        for argv in commands:
+            build_parser().parse_args(argv)

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,7 +151,7 @@ class TestSerialization:
     def test_bad_fps_rejected_with_manifest_line(self, tmp_path, fps):
         ds = generate_synthetic(default_config(seed=9))
         manifest = save_dataset(ds, tmp_path / "out")
-        lines = open(manifest).read().splitlines()
+        lines = Path(manifest).read_text().splitlines()
         demo_lines = [i for i, line in enumerate(lines) if line.startswith("demo =")]
         target = demo_lines[1]
         parts = lines[target].split("|")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from motionseg.data import SyntheticConfig, generate_synthetic
 from motionseg.embedding import (
     IncrementalPca,
-    TripletConfig,
     encode_array,
     new_encoder,
     npairs_loss,
@@ -22,6 +21,7 @@ from motionseg.embedding import (
 )
 from motionseg.errors import DegenerateBatchError, UnfittedModelError
 from motionseg.numerics import finite_diff_check, pack_arrays, unpack_arrays
+from motionseg.pipeline import PipelineConfig
 from motionseg.seqmodels.knn import KnnModel, knn_predict_batch
 
 
@@ -236,10 +236,10 @@ class TestEncode:
 class TestTrainEmbedding:
     def test_zero_epochs_returns_initialization(self):
         dataset = small_dataset()
-        config = TripletConfig(batch_size=16)
+        config = PipelineConfig(batch_size=16, embed_epochs=0, embed_dim=4, encoder_hidden=(8,))
         encs = []
         for _ in range(2):
-            enc, trace = train_embedding(dataset, config, epochs=0, seed=7, dim=4, hidden=(8,))
+            enc, trace = train_embedding(dataset, config, seed=7)
             encs.append(enc)
             assert trace == []
             assert not enc.trained
@@ -248,17 +248,17 @@ class TestTrainEmbedding:
 
     def test_fixed_seed_is_bit_reproducible(self):
         dataset = small_dataset()
-        config = TripletConfig(batch_size=16)
+        config = PipelineConfig(batch_size=16, embed_epochs=2, embed_dim=4, encoder_hidden=(8,))
         packed = []
         for _ in range(2):
-            enc, _ = train_embedding(dataset, config, epochs=2, seed=13, dim=4, hidden=(8,))
+            enc, _ = train_embedding(dataset, config, seed=13)
             packed.append(pack_arrays(enc.mlp.param_arrays())[0])
         np.testing.assert_array_equal(packed[0], packed[1])
 
     def test_training_improves_knn_over_raw_features(self):
         dataset = small_dataset(seed=3)
-        config = TripletConfig(batch_size=32)
-        enc, trace = train_embedding(dataset, config, epochs=25, seed=0, dim=6, hidden=(32,))
+        config = PipelineConfig(batch_size=32, embed_epochs=25, embed_dim=6, encoder_hidden=(32,))
+        enc, trace = train_embedding(dataset, config, seed=0)
         train_demos, test_demos = dataset.demos[:3], dataset.demos[3:]
 
         def knn_accuracy(transform):
@@ -281,8 +281,8 @@ class TestTrainEmbedding:
 
     def test_intra_segment_distances_shrink_below_inter(self):
         dataset = small_dataset(seed=5)
-        config = TripletConfig(batch_size=32)
-        enc, _ = train_embedding(dataset, config, epochs=15, seed=2, dim=6, hidden=(24,))
+        config = PipelineConfig(batch_size=32, embed_epochs=15, embed_dim=6, encoder_hidden=(24,))
+        enc, _ = train_embedding(dataset, config, seed=2)
         demo = dataset.demos[0]
         E = encode_array(enc, demo.features)
         labels = demo.labels
@@ -299,10 +299,10 @@ class TestTrainEmbedding:
         for demo in stripped.demos:
             demo.hidden_labels = demo.labels
             demo.labels = None
-        config = TripletConfig(batch_size=16)
-        enc, trace = train_embedding(
-            stripped, config, epochs=2, seed=0, loss_mode="svtcn", dim=4, hidden=(8,)
+        config = PipelineConfig(
+            batch_size=16, embed_epochs=2, loss_mode="svtcn", embed_dim=4, encoder_hidden=(8,)
         )
+        enc, trace = train_embedding(stripped, config, seed=0)
         assert enc.trained and len(trace) > 0
 
 

@@ -3,10 +3,10 @@ import pytest
 
 from motionseg.errors import ShapeError
 from motionseg.numerics import finite_diff_check, pack_arrays, unpack_arrays
+from motionseg.pipeline import PipelineConfig
 from motionseg.seqmodels.rnn import (
     BiRnn,
     LstmCell,
-    RnnConfig,
     birnn_backward,
     birnn_forward,
     cross_entropy_and_grad,
@@ -94,8 +94,8 @@ def test_training_fits_sign_rule():
         y = np.where(X[:, 0] > 0, 1, 2)
         seqs.append(X)
         labs.append(y)
-    config = RnnConfig(hidden=8, stride=12, batch_size=4, lr=0.02)
-    rnn, trace = rnn_train(seqs, labs, num_labels=2, config=config, epochs=60, seed=0)
+    config = PipelineConfig(rnn_hidden=8, stride=12, rnn_batch=4, rnn_lr=0.02, rnn_epochs=60)
+    rnn, trace = rnn_train(seqs, labs, num_labels=2, config=config, seed=0)
     hits = total = 0
     for X, y in zip(seqs, labs):
         pred, _ = rnn_predict_sequence(rnn, X)
@@ -109,10 +109,10 @@ def test_training_is_deterministic():
     rng = np.random.default_rng(7)
     seqs = [rng.normal(size=(10, 2)) for _ in range(3)]
     labs = [np.where(s[:, 0] > 0, 1, 2) for s in seqs]
-    config = RnnConfig(hidden=4, stride=5, batch_size=2, lr=0.05)
+    config = PipelineConfig(rnn_hidden=4, stride=5, rnn_batch=2, rnn_lr=0.05, rnn_epochs=3)
     outs = []
     for _ in range(2):
-        rnn, _ = rnn_train(seqs, labs, num_labels=2, config=config, epochs=3, seed=11)
+        rnn, _ = rnn_train(seqs, labs, num_labels=2, config=config, seed=11)
         outs.append(pack_arrays(rnn.param_arrays())[0])
     np.testing.assert_array_equal(outs[0], outs[1])
 
@@ -120,9 +120,9 @@ def test_training_is_deterministic():
 def test_out_of_range_labels_rejected():
     rng = np.random.default_rng(9)
     seqs = [rng.normal(size=(6, 2))]
-    config = RnnConfig(hidden=3, stride=4, batch_size=1, lr=0.05)
+    config = PipelineConfig(rnn_hidden=3, stride=4, rnn_batch=1, rnn_lr=0.05, rnn_epochs=1)
     with pytest.raises(ValueError):
-        rnn_train(seqs, [np.array([1, 2, 3, 1, 2, 5])], num_labels=3, config=config, epochs=1, seed=0)
+        rnn_train(seqs, [np.array([1, 2, 3, 1, 2, 5])], num_labels=3, config=config, seed=0)
 
 
 def test_empty_window_raises():
