@@ -124,17 +124,12 @@ def build_dataclass(cls, raw: dict, overrides: dict | None = None):
 
 
 def _section_of(cls):
-    for name, c in CONFIG_SECTIONS.items():
-        if c is cls:
-            return name
-    return cls.__name__
+    return next((name for name, c in CONFIG_SECTIONS.items() if c is cls), cls.__name__)
 
 
 def echo_config(obj) -> list[str]:
-    out = []
-    for f in sorted(dataclasses.fields(obj), key=lambda f: f.name):
-        out.append(f"{f.name} = {getattr(obj, f.name)}")
-    return out
+    fields = sorted(dataclasses.fields(obj), key=lambda f: f.name)
+    return [f"{f.name} = {getattr(obj, f.name)}" for f in fields]
 
 
 def write_csv(path, header, rows):
@@ -175,10 +170,19 @@ def _pipeline_config(args, sections) -> PipelineConfig:
     return build_dataclass(PipelineConfig, sections.get("pipeline", {}), overrides)
 
 
+def _load_dataset_for(args, config: PipelineConfig):
+    """The --data dataset and its leave-one-out split, which checks config.val_index."""
+    dataset = load_dataset(args.data)
+    try:
+        return dataset, split_leave_one_out(dataset, config.val_index)
+    except IndexError as exc:  # names the demonstrator and its demo count
+        raise ConfigError(f"[pipeline] val_index: {exc}") from None
+
+
 def cmd_train(args) -> int:
     sections = parse_config_file(args.config) if args.config else {}
     config = _pipeline_config(args, sections)
-    dataset = load_dataset(args.data)
+    dataset, _ = _load_dataset_for(args, config)
     encoder, bundle, trace = run_alternation(dataset, config)
     os.makedirs(args.out, exist_ok=True)
     modelio.save_model(encoder, os.path.join(args.out, "encoder.model"))
@@ -235,7 +239,7 @@ def cmd_eval(args) -> int:
             dataclasses.replace(config, labeled_fraction=fraction)
     except ValueError as exc:
         raise ConfigError(f"--sweep {args.sweep!r}: {exc}") from None
-    dataset = load_dataset(args.data)
+    dataset, _ = _load_dataset_for(args, config)
     os.makedirs(args.out, exist_ok=True)
     seeds = [config.seed + i for i in range(args.grid_seeds)]
     if args.grid:
@@ -262,7 +266,7 @@ def cmd_imitate(args) -> int:
     imitate = build_dataclass(ImitateConfig, sections.get("imitate", {}))
     if not args.noise_sigma >= 0:  # also rejects nan
         raise ConfigError(f"--noise-sigma must be >= 0, got {args.noise_sigma}")
-    dataset = load_dataset(args.data)
+    dataset, (_, test) = _load_dataset_for(args, config)
     if any(d.poses is None for d in dataset.demos):
         raise MotionsegError("dataset lacks poses; imitate needs pose ground truth")
     os.makedirs(args.out, exist_ok=True)
@@ -286,7 +290,6 @@ def cmd_imitate(args) -> int:
             f"rmse_position_cm={_fmt(r['rmse_position_cm'])} "
             f"median_cosine_quat_loss={_fmt(r['median_cosine_quat_loss'])}"
         )
-    _, test = split_leave_one_out(dataset, config.val_index)
     traj = trajectory_rows(decoders["per_demonstrator"], encoder, test.demos)
     write_csv(
         os.path.join(args.out, "trajectories.csv"),

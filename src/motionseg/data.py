@@ -134,8 +134,8 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.num_classes < 2:
             raise SchemaError("need at least 2 classes")
-        if self.demonstrators < 1 or self.demos_per_demonstrator < 1 or self.cycles < 1:
-            raise SchemaError("counts must be positive")
+        if min(self.demonstrators, self.demos_per_demonstrator, self.cycles, self.feature_width) < 1:
+            raise SchemaError("counts and feature_width must be positive")
         self.duration_means()
 
 

@@ -284,7 +284,7 @@ def train_embedding(dataset, config, seed: int, extra_labels: dict | None = None
             grad = None  # weighted sum of the terms' gradients, laid out like mlp.flat
             for loss, g in parts:
                 total_loss += weight * loss
-                g = numerics.flat_grad(g) * weight
+                g *= weight
                 grad = g if grad is None else grad + g
             numerics.optimizer_step(params, [grad], opt)
             trace.append(total_loss)
@@ -298,8 +298,8 @@ def _forward_loss_backward(encoder, X, loss_on_embeddings):
     E = l2_normalize_rows(H)
     loss, grad_E = loss_on_embeddings(E)
     grad_H = l2_normalize_rows_backward(H, grad_E)
-    grads, _ = mlp_backward(encoder.mlp, cache, grad_H)
-    return loss, grads
+    grad, _ = mlp_backward(encoder.mlp, cache, grad_H)
+    return loss, grad
 
 
 def _supervised_step(dataset, rows, config, rng, encoder):

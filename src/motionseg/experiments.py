@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Dataset, split_leave_one_out
 from .embedding import IncrementalPca, encode_array
-from .imitation import DECODER_HIDDEN, eval_pose, train_pose_decoder
+from .imitation import DECODER_HIDDEN, encode_once, eval_pose, train_pose_decoder
 from .pipeline import (
     SEQ_MODELS,
     PipelineConfig,
@@ -110,19 +110,20 @@ def pose_table(
     rng = np.random.default_rng(seed)
     cfg = replace(config, seed=seed)
     encoder, _ = pretrain_encoder(train, cfg, seed=int(rng.integers(2**32)))
+    embed = encode_once(encoder)  # each training demo once; held-out ones once per sigma
     decoders = {
         "pooled": train_pose_decoder(
-            encoder, train.demos, scope="pooled", epochs=decoder_epochs,
+            embed, train.demos, scope="pooled", epochs=decoder_epochs,
             seed=int(rng.integers(2**32)), hidden=decoder_hidden, w_pos=w_pos,
         ),
         "per_demonstrator": train_pose_decoder(
-            encoder, train.demos, scope="per_demonstrator", epochs=decoder_epochs,
+            embed, train.demos, scope="per_demonstrator", epochs=decoder_epochs,
             seed=int(rng.integers(2**32)), hidden=decoder_hidden, w_pos=w_pos,
         ),
     }
     rows = []
     for scope, dec in decoders.items():
         for sigma in noise_sigmas:
-            metrics = eval_pose(dec, encoder, test.demos, noise_sigma=float(sigma), seed=seed)
+            metrics = eval_pose(dec, embed, test.demos, noise_sigma=float(sigma), seed=seed)
             rows.append({"scope": scope, "noise_sigma": float(sigma), **metrics})
     return rows, encoder, decoders

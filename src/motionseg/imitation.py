@@ -36,10 +36,8 @@ class EndEffectorPose:
     right_jaw: float
 
     def __post_init__(self):
-        self.left_position = np.asarray(self.left_position, dtype=np.float64)
-        self.right_position = np.asarray(self.right_position, dtype=np.float64)
-        self.left_quaternion = np.asarray(self.left_quaternion, dtype=np.float64)
-        self.right_quaternion = np.asarray(self.right_quaternion, dtype=np.float64)
+        for name in ("left_position", "right_position", "left_quaternion", "right_quaternion"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         for q in (self.left_quaternion, self.right_quaternion):
             if abs(np.linalg.norm(q) - 1.0) > 1e-9:
                 raise ValueError("pose quaternions must be unit norm within 1e-9")
@@ -80,28 +78,27 @@ def pose_loss_batch(pred, truth, w_pos: float):
     if pred.shape != truth.shape or pred.shape[1] != POSE_DIM:
         raise ShapeError("pose arrays must both be (B, 16)")
     B = pred.shape[0]
-    grad = np.zeros(pred.shape)
-
-    resid = pred[:, MSE_DIMS] - truth[:, MSE_DIMS]
-    mse = float(np.sum(resid**2)) / (POSE_DIM * B)
-    grad[:, MSE_DIMS] = w_pos * 2.0 * resid / (POSE_DIM * B)
+    grad = pred - truth  # the residual, scaled in place into the squared-error gradient
+    mse = float(np.add.reduce(grad[:, MSE_DIMS] ** 2, axis=None)) / (POSE_DIM * B)
+    grad *= w_pos * 2.0
+    grad /= POSE_DIM * B
 
     # numerics.l2_normalize_rows and its backward pass, sharing one norm
-    raw = _quat_rows(pred)
-    q = _quat_rows(truth)
-    norms = np.linalg.norm(raw, axis=1)
+    raw, q = _quat_rows(pred), _quat_rows(truth)
+    norms = np.sqrt(np.add.reduce(raw * raw, axis=1))
     dead = norms <= numerics.NORM_FLOOR
     safe = np.where(dead, 1.0, norms)[:, None]
     qhat = raw / safe
     qhat[dead] = (1.0, 0.0, 0.0, 0.0)
-    dots = np.sum(qhat * q, axis=1)
+    dots = np.add.reduce(qhat * q, axis=1)
     per_arm = (1.0 - np.abs(dots)).reshape(B, 2)
-    orient = float(np.mean(per_arm[:, 0])) / 2.0 + float(np.mean(per_arm[:, 1])) / 2.0
-    g_qhat = -np.sign(dots)[:, None] * q / (2.0 * B)
-    g_raw = (g_qhat - qhat * np.sum(qhat * g_qhat, axis=1, keepdims=True)) / safe
+    orient = sum(float(np.add.reduce(per_arm[:, k])) / B / 2.0 for k in (0, 1))  # as np.mean
+    g_raw = np.sign(dots)[:, None] * q / (-2.0 * B)  # the cosine term's gradient at qhat
+    g_raw -= qhat * np.add.reduce(qhat * g_raw, axis=1, keepdims=True)
+    g_raw /= safe
     g_raw[dead] = 0.0
-    g_quat = _quat_rows(grad)
-    g_quat += (1.0 - w_pos) * g_raw
+    g_quat = np.multiply(g_raw, 1.0 - w_pos, out=_quat_rows(grad))
+    g_quat += 0.0  # as 0.0 + x: w_pos = 1 gives +0.0, never -0.0
 
     loss = w_pos * mse + (1.0 - w_pos) * orient
     return loss, grad
@@ -143,8 +140,24 @@ def decode_pose(decoder: PoseDecoder, embedding_rows) -> np.ndarray:
     return out
 
 
+def encode_once(encoder):
+    """A frozen Encoder as a features -> embeddings function that encodes each distinct
+    array (equal values, not only the same object) once and hands every caller of it
+    the same result. train_pose_decoder and eval_pose take either; a function passes
+    through as is."""
+    if callable(encoder):
+        return encoder
+    memo = {}  # hash of the bytes -> (features, embeddings); a hash clash re-encodes
+    def embed(features):
+        key = hash(features.tobytes())
+        if key not in memo or not np.array_equal(memo[key][0], features):
+            memo[key] = (features, encode_array(encoder, features))
+        return memo[key][1]
+    return embed
+
+
 def train_pose_decoder(
-    encoder: Encoder,
+    encoder,
     demos,
     scope: str = "pooled",
     epochs: int = 200,
@@ -162,22 +175,22 @@ def train_pose_decoder(
         raise ValueError("every training demo needs pose ground truth")
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}")
-    rng = np.random.default_rng(seed)
+    rng, embed = np.random.default_rng(seed), encode_once(encoder)
     if scope == "pooled":
-        return _train_one(encoder, demos, epochs, rng, hidden, w_pos, scope)
+        return _train_one(embed, demos, epochs, rng, hidden, w_pos, scope)
     decoders = {}
     groups: dict[str, list] = {}
     for demo in demos:
         groups.setdefault(demo.demonstrator_id, []).append(demo)
     for demonstrator in sorted(groups):
         decoders[demonstrator] = _train_one(
-            encoder, groups[demonstrator], epochs, rng, hidden, w_pos, scope
+            embed, groups[demonstrator], epochs, rng, hidden, w_pos, scope
         )
     return decoders
 
 
-def _train_one(encoder, demos, epochs, rng, hidden, w_pos, scope):
-    X = np.vstack([encode_array(encoder, d.features) for d in demos])
+def _train_one(embed, demos, epochs, rng, hidden, w_pos, scope):
+    X = np.vstack([embed(d.features) for d in demos])
     Y = np.vstack([d.poses for d in demos])
     decoder = new_pose_decoder(
         X.shape[1], hidden=hidden, w_pos=w_pos, scope=scope, seed=int(rng.integers(2**32))
@@ -191,12 +204,12 @@ def _train_one(encoder, demos, epochs, rng, hidden, w_pos, scope):
             idx = order[s : s + DECODER_BATCH]
             out, cache = mlp_forward(decoder.mlp, X[idx])
             _, grad_out = pose_loss_batch(out, Y[idx], w_pos)
-            grads, _ = mlp_backward(decoder.mlp, cache, grad_out)
-            numerics.optimizer_step(params, [numerics.flat_grad(grads)], opt)
+            grad, _ = mlp_backward(decoder.mlp, cache, grad_out)
+            numerics.optimizer_step(params, [grad], opt)
     return decoder
 
 
-def eval_pose(decoders, encoder: Encoder, test_demos, noise_sigma: float = 0.0, seed: int = 0):
+def eval_pose(decoders, encoder, test_demos, noise_sigma: float = 0.0, seed: int = 0):
     """Position RMSE (cm, pooled over arms and axes) and median per-frame quaternion loss.
 
     noise_sigma > 0 adds i.i.d. Gaussian noise to the frame features before
@@ -208,7 +221,7 @@ def eval_pose(decoders, encoder: Encoder, test_demos, noise_sigma: float = 0.0, 
         raise ValueError("empty test set")
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng, embed = np.random.default_rng(seed), encode_once(encoder)
     sq_sum = 0.0
     n_pos = 0
     quat_losses = []
@@ -218,9 +231,8 @@ def eval_pose(decoders, encoder: Encoder, test_demos, noise_sigma: float = 0.0, 
         feats = demo.features
         if noise_sigma > 0:
             feats = feats + rng.normal(0.0, noise_sigma, size=feats.shape)
-        E = encode_array(encoder, feats)
         decoder = decoders[demo.demonstrator_id] if isinstance(decoders, dict) else decoders
-        pred = decode_pose(decoder, E)
+        pred = decode_pose(decoder, embed(feats))
         for pos_sl in (slice(0, 3), slice(8, 11)):
             resid = pred[:, pos_sl] - demo.poses[:, pos_sl]
             sq_sum += float(np.sum(resid**2))

@@ -43,18 +43,11 @@ def _read(path):
 
 
 def _mlp_arrays(mlp: MlpParams):
-    out = {}
-    for i, layer in enumerate(mlp.layers):
-        out[f"w{i}"] = layer.w
-        out[f"b{i}"] = layer.b
-    return out
+    return {f"{name}{i}": a for i, l in enumerate(mlp.layers) for name, a in (("w", l.w), ("b", l.b))}
 
 
 def _mlp_from_arrays(arrays, activations):
-    layers = []
-    for i, act in enumerate(activations):
-        layers.append(Layer(arrays[f"w{i}"], arrays[f"b{i}"], act))
-    return MlpParams(layers)
+    return MlpParams([Layer(arrays[f"w{i}"], arrays[f"b{i}"], act) for i, act in enumerate(activations)])
 
 
 def save_model(model, path) -> None:

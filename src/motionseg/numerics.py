@@ -58,12 +58,8 @@ class MlpParams:
                     f"layer widths disagree: {prev.w.shape[0]} feeds {nxt.w.shape[1]}"
                 )
         self.flat = np.concatenate([a.ravel() for a in self.param_arrays()])
-        offset = 0
-        for layer in self.layers:
-            for name in ("w", "b"):
-                a = getattr(layer, name)
-                setattr(layer, name, self.flat[offset : offset + a.size].reshape(a.shape))
-                offset += a.size
+        for layer, (w, b) in zip(self.layers, self.views(self.flat)):
+            layer.w, layer.b = w, b
 
     @property
     def in_dim(self) -> int:
@@ -73,18 +69,21 @@ class MlpParams:
     def out_dim(self) -> int:
         return self.layers[-1].w.shape[0]
 
-    def param_arrays(self) -> list[np.ndarray]:
-        """Every layer's w and b in order (views of ``flat``, update in place)."""
-        out = []
+    def views(self, vec) -> list[tuple]:
+        """(w, b) views of a vector laid out like ``flat``, one pair per layer."""
+        out, offset = [], 0
         for layer in self.layers:
-            out.append(layer.w)
-            out.append(layer.b)
+            w_end = offset + layer.w.size
+            out.append((vec[offset:w_end].reshape(layer.w.shape), vec[w_end : w_end + layer.b.size]))
+            offset = w_end + layer.b.size
         return out
 
+    def param_arrays(self) -> list[np.ndarray]:
+        """Every layer's w and b in order (views of ``flat``, update in place)."""
+        return [a for layer in self.layers for a in (layer.w, layer.b)]
+
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            [Layer(l.w.copy(), l.b.copy(), l.activation) for l in self.layers]
-        )
+        return MlpParams([Layer(l.w.copy(), l.b.copy(), l.activation) for l in self.layers])
 
 
 def init_mlp(sizes, activations=None, rng=None) -> MlpParams:
@@ -140,8 +139,8 @@ def mlp_forward(params: MlpParams, x) -> tuple[np.ndarray, MlpCache]:
 def mlp_backward(params: MlpParams, cache: MlpCache, grad_output):
     """Backprop through a cached forward pass.
 
-    Returns (param_grads, grad_input) with param_grads a list of (dw, db)
-    per layer, summed over the batch.
+    Returns (grad, grad_input); grad is laid out like ``MlpParams.flat``,
+    each layer's (dw, db) summed over the batch and written into its slot.
     """
     g = np.atleast_2d(np.asarray(grad_output, dtype=np.float64))
     if len(cache.pre) != len(params.layers):
@@ -150,21 +149,18 @@ def mlp_backward(params: MlpParams, cache: MlpCache, grad_output):
         raise ShapeError(
             f"grad_output shape {g.shape} != forward output shape {cache.pre[-1].shape}"
         )
-    grads = [None] * len(params.layers)
+    grad = np.empty_like(params.flat)
+    slots = params.views(grad)
     for i in reversed(range(len(params.layers))):
         layer = params.layers[i]
         if layer.activation == "relu":
             g = g * (cache.pre[i] > 0.0)
         elif layer.activation == "tanh":
             g = g * (1.0 - cache.post[i] * cache.post[i])
-        grads[i] = (g.T @ cache.inputs[i], g.sum(axis=0))
+        np.matmul(g.T, cache.inputs[i], out=slots[i][0])
+        np.add.reduce(g, axis=0, out=slots[i][1])
         g = g @ layer.w
-    return grads, (g[0] if cache.single else g)
-
-
-def flat_grad(param_grads) -> np.ndarray:
-    """The (dw, db) grad list as one vector laid out like ``MlpParams.flat``."""
-    return np.concatenate([a.ravel() for pair in param_grads for a in pair])
+    return grad, (g[0] if cache.single else g)
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +182,25 @@ def make_optimizer(params, lr=1e-3) -> OptimizerState:
 
 
 def optimizer_step(params: list, grads: list, state: OptimizerState) -> list:
-    """One Adam update, in place. Returns params for convenience."""
+    """One Adam update in place, in the textbook operation order. Returns params."""
     if len(grads) != len(params):
         raise ShapeError("grads and params length mismatch")
     for g in grads:
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError("non-finite gradient passed to optimizer_step")
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        a, b = np.empty_like(p), np.empty_like(p)  # scratch, freed after the step
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        if not np.all(np.isfinite(p)):
+        v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=a), g, out=a)
+        np.multiply(np.divide(m, bc1, out=a), state.lr, out=a)  # lr * (m / bc1)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)  # sqrt(v / bc2) + eps
+        p -= np.divide(a, b, out=a)
+        if not np.isfinite(p).all():
             raise NumericError("optimizer_step produced non-finite parameters")
     return params
 

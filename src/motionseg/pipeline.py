@@ -79,9 +79,11 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name in ("rounds", "top_k", "stride", "batch_size", "embed_dim", "rnn_hidden",
-                     "rnn_batch", "hmm_states", "d_max", "knn_k"):
+                     "rnn_batch", "hmm_states", "d_max", "crf_basis", "knn_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if min(self.encoder_hidden, default=1) < 1 or self.val_index < 0:
+            raise ValueError("need encoder_hidden widths >= 1 and val_index >= 0")
         if self.margin <= 0:
             raise ValueError("margin must be positive")
         if not (0 < self.pos_window < self.neg_window):

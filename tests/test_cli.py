@@ -362,7 +362,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize("key,value", [
         ("batch_size", "0"), ("stride", "0"), ("rnn_batch", "0"), ("rnn_hidden", "0"),
         ("embed_dim", "0"), ("hmm_states", "0"), ("d_max", "0"), ("knn_k", "0"),
-        ("margin", "0"), ("pos_window", "20"),
+        ("margin", "0"), ("pos_window", "20"), ("crf_basis", "0"), ("encoder_hidden", "64,0"),
+        ("val_index", "-1"),
     ])
     def test_out_of_range_pipeline_value_exits_2(self, tmp_path, capsys, key, value):
         bad = tmp_path / "bad.txt"
@@ -376,12 +377,25 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("key,value", [
         ("num_classes", "1"), ("demonstrators", "0"), ("mean_durations", "0.5"),
+        ("feature_width", "0"),
     ])
     def test_out_of_range_synthetic_value_exits_2(self, tmp_path, capsys, key, value):
         bad = tmp_path / "bad.txt"
         bad.write_text(f"[synthetic]\n{key} = {value}\n")
         assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: [synthetic]")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "imitate"])
+    def test_val_index_past_a_demonstrators_demos_exits_2(self, workspace, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(TINY_CONFIG + "\n[pipeline]\nval_index = 3\n")
+        argv = [command, "--config", str(bad), "--data", data_manifest(workspace),
+                "--out", str(tmp_path / "out")]
+        assert main(argv + (["--sweep", "0.5"] if command == "eval" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [pipeline] val_index")
+        assert "demonstrator" in err and "(3 demos)" in err
         assert not (tmp_path / "out").exists()
 
     def test_imitate_config_accepts_interval_ends(self):

@@ -311,7 +311,6 @@ def test_siamese_triplet_gradient_through_encoder():
     from motionseg.numerics import (
         Layer,
         MlpParams,
-        flat_grad,
         l2_normalize_rows,
         l2_normalize_rows_backward,
         mlp_backward,
@@ -336,8 +335,8 @@ def test_siamese_triplet_gradient_through_encoder():
         E = l2_normalize_rows(H)
         loss, gE = triplet_loss_batch(E, triplets, 0.2)
         gH = l2_normalize_rows_backward(H, gE)
-        grads, _ = mlp_backward(trial, cache, gH)
-        return loss, flat_grad(grads)
+        grad, _ = mlp_backward(trial, cache, gH)
+        return loss, grad
 
     assert finite_diff_check(fn, flat0) < 1e-4
 

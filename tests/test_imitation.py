@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motionseg import numerics
+from motionseg import imitation, numerics
 from motionseg.data import SyntheticConfig, generate_synthetic, split_leave_one_out
+from motionseg.embedding import encode_array
 from motionseg.imitation import (
+    SCOPES,
     EndEffectorPose,
     decode_pose,
+    encode_once,
     eval_pose,
     new_pose_decoder,
     pose_loss,
@@ -258,6 +261,74 @@ class TestEvalPose:
         rows = trajectory_rows(dec, enc, ds.demos)
         assert len(rows) == ds.num_frames
         assert len(rows[0]) == 2 + 16
+
+
+class TestEncodeOnce:
+    @staticmethod
+    def count_encodes(monkeypatch):
+        calls = []
+
+        def counting(encoder, features):
+            calls.append(len(features))
+            return encode_array(encoder, features)
+
+        monkeypatch.setattr(imitation, "encode_array", counting)
+        return calls
+
+    def test_each_distinct_array_is_encoded_once_with_the_same_bits(self, monkeypatch):
+        ds = pose_dataset()
+        enc = quick_encoder(ds)
+        features = ds.demos[0].features
+        calls = self.count_encodes(monkeypatch)
+        embed = encode_once(enc)
+        first = embed(features)
+        assert embed(features.copy()) is first and len(calls) == 1
+        assert first.tobytes() == encode_array(enc, features).tobytes()
+        embed(ds.demos[1].features)
+        assert len(calls) == 2
+        assert encode_once(embed) is embed
+
+    def test_a_hash_clash_encodes_again(self, monkeypatch):
+        ds = pose_dataset()
+        enc = quick_encoder(ds)
+        a, b = ds.demos[0].features, ds.demos[1].features
+        monkeypatch.setattr(imitation, "hash", lambda key: 0, raising=False)
+        embed = encode_once(enc)
+        for features in (a, b, a):
+            assert embed(features).tobytes() == encode_array(enc, features).tobytes()
+
+    def test_decoders_and_metrics_equal_a_plain_encoders_bit_for_bit(self):
+        ds = pose_dataset(seed=4)
+        train, test = split_leave_one_out(ds, 0)
+        enc = quick_encoder(train, seed=4)
+        embed = encode_once(enc)
+        for scope in SCOPES:
+            a = train_pose_decoder(enc, train.demos, scope=scope, epochs=3, seed=6, hidden=(16,))
+            b = train_pose_decoder(embed, train.demos, scope=scope, epochs=3, seed=6, hidden=(16,))
+            decs_a, decs_b = (a, b) if scope != "pooled" else ({"": a}, {"": b})
+            assert sorted(decs_a) == sorted(decs_b)
+            for key in decs_a:
+                assert decs_a[key].mlp.flat.tobytes() == decs_b[key].mlp.flat.tobytes()
+            for sigma in (0.0, 0.15):
+                assert eval_pose(a, enc, test.demos, sigma, seed=7) == eval_pose(
+                    b, embed, test.demos, sigma, seed=7
+                )
+
+    def test_pose_table_encodes_training_demos_once_and_held_out_once_per_sigma(
+        self, monkeypatch
+    ):
+        from motionseg.experiments import pose_table
+
+        ds = pose_dataset(seed=5)
+        train, test = split_leave_one_out(ds, 0)
+        calls = self.count_encodes(monkeypatch)
+        config = PipelineConfig(embed_dim=8, encoder_hidden=(16,), embed_epochs=1, batch_size=32)
+        rows, _, _ = pose_table(
+            ds, config, noise_sigmas=(0.0, 0.15), seed=1, decoder_hidden=(8,), decoder_epochs=1
+        )
+        assert len(rows) == 2 * 2
+        assert len(calls) == len(train.demos) + 2 * len(test.demos)
+        assert sum(calls) == train.num_frames + 2 * test.num_frames
 
 
 class TestDecodePose:

@@ -54,17 +54,17 @@ def test_backward_linear_layer_weight_grad_is_outer_product():
     x = np.array([0.7, -1.1])
     _, cache = mlp_forward(params, x)
     e1 = np.array([1.0, 0.0, 0.0])
-    grads, _ = mlp_backward(params, cache, e1)
-    np.testing.assert_allclose(grads[0][0], np.outer(e1, x))
-    np.testing.assert_allclose(grads[0][1], e1)
+    grad, _ = mlp_backward(params, cache, e1)
+    (dw, db), = params.views(grad)
+    np.testing.assert_allclose(dw, np.outer(e1, x))
+    np.testing.assert_allclose(db, e1)
 
 
 def test_backward_zero_grad_output_gives_zero_grads():
     params = init_mlp([3, 4, 2], rng=0)
     _, cache = mlp_forward(params, np.ones(3))
-    grads, gx = mlp_backward(params, cache, np.zeros(2))
-    for dw, db in grads:
-        assert not dw.any() and not db.any()
+    grad, gx = mlp_backward(params, cache, np.zeros(2))
+    assert grad.shape == params.flat.shape and not grad.any()
     assert not gx.any()
 
 
@@ -86,8 +86,8 @@ def test_backward_matches_finite_differences():
         )
         out, cache = mlp_forward(trial, x)
         diff = out - target
-        grads, _ = mlp_backward(trial, cache, diff)
-        return 0.5 * float(diff @ diff), numerics.flat_grad(grads)
+        grad, _ = mlp_backward(trial, cache, diff)
+        return 0.5 * float(diff @ diff), grad
 
     assert finite_diff_check(loss_fn, flat0) < 1e-4
 
@@ -194,6 +194,87 @@ def test_adam_on_one_flat_vector_equals_per_array_steps_bit_for_bit():
         numerics.optimizer_step(flat, [np.concatenate([g.ravel() for g in grads])], flat_state)
         assert flat[0].tobytes() == np.concatenate([a.ravel() for a in arrays]).tobytes()
     assert flat_state.step == split_state.step == 6
+
+
+def reference_adam_step(params, grads, state):
+    """optimizer_step as one expression per array, kept as the in-place step's reference."""
+    state.step += 1
+    bc1 = 1.0 - numerics.ADAM_BETA1 ** state.step
+    bc2 = 1.0 - numerics.ADAM_BETA2 ** state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= numerics.ADAM_BETA1
+        m += (1.0 - numerics.ADAM_BETA1) * g
+        v *= numerics.ADAM_BETA2
+        v += (1.0 - numerics.ADAM_BETA2) * g * g
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + numerics.ADAM_EPS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shapes=st.lists(
+        st.lists(st.integers(1, 7), min_size=1, max_size=2).map(tuple), min_size=1, max_size=4
+    ),
+    lr=st.sampled_from([1e-3, 1e-2, 0.1]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_adam_in_place_equals_reference_expression_bit_for_bit(shapes, lr, seed):
+    rng = np.random.default_rng(seed)
+    params = [rng.normal(size=shape) for shape in shapes]
+    ref = [p.copy() for p in params]
+    state = numerics.make_optimizer(params, lr=lr)
+    ref_state = numerics.make_optimizer(ref, lr=lr)
+    for _ in range(50):
+        # gradients spanning 12 decades, with exact zeros as relu layers produce
+        grads = [
+            rng.normal(size=p.shape) * 10.0 ** rng.integers(-8, 4) * (rng.random(p.shape) < 0.8)
+            for p in params
+        ]
+        numerics.optimizer_step(params, grads, state)
+        reference_adam_step(ref, grads, ref_state)
+        for a, b in zip(params + state.m + state.v, ref + ref_state.m + ref_state.v):
+            assert a.tobytes() == b.tobytes()
+    assert state.step == ref_state.step == 50
+
+
+def reference_mlp_backward(params, cache, grad_output):
+    """mlp_backward as per-layer (dw, db) pairs concatenated afterwards, kept as the
+    reference of the version that writes each pair into one flat vector."""
+    g = np.atleast_2d(grad_output)
+    grads = [None] * len(params.layers)
+    for i in reversed(range(len(params.layers))):
+        layer = params.layers[i]
+        if layer.activation == "relu":
+            g = g * (cache.pre[i] > 0.0)
+        elif layer.activation == "tanh":
+            g = g * (1.0 - cache.post[i] * cache.post[i])
+        grads[i] = (g.T @ cache.inputs[i], g.sum(axis=0))
+        g = g @ layer.w
+    flat = np.concatenate([a.ravel() for pair in grads for a in pair])
+    return flat, (g[0] if cache.single else g)
+
+
+@pytest.mark.parametrize(
+    "sizes, activations",
+    [
+        ([64, 256, 64, 32], ["relu", "relu", "identity"]),  # the encoder
+        ([32, 64, 32, 16], ["relu", "relu", "identity"]),  # the pose decoder
+        ([13, 9, 5], ["tanh", "tanh"]),
+        ([7, 11, 3], ["identity", "identity"]),
+        ([5, 4], ["relu"]),
+    ],
+)
+@pytest.mark.parametrize("batch", [1, 7, 64, 128, 129])
+def test_mlp_backward_equals_per_layer_reference_bit_for_bit(sizes, activations, batch):
+    rng = np.random.default_rng(batch)
+    params = init_mlp(sizes, activations=activations, rng=rng)
+    for x in (rng.normal(size=(batch, sizes[0])), rng.normal(size=sizes[0])):
+        out, cache = mlp_forward(params, x)
+        grad_out = rng.normal(size=out.shape)
+        grad, gx = mlp_backward(params, cache, grad_out)
+        ref, ref_gx = reference_mlp_backward(params, cache, grad_out)
+        assert grad.tobytes() == ref.tobytes()
+        assert gx.tobytes() == ref_gx.tobytes()
+        assert not np.shares_memory(grad, params.flat)
 
 
 def _assert_layers_view_flat(mlp):
