@@ -26,12 +26,11 @@ from .data import (
     generate_synthetic,
     load_dataset,
     save_dataset,
-    split_leave_one_out,
 )
-from .embedding import encode_array, pca2d
+from .embedding import Encoder, encode_array, pca2d
 from .errors import ConfigError, DataFormatError, MotionsegError
 from .experiments import GRID_ROWS, fraction_sweep, grid_eval, pose_table
-from .imitation import DECODER_HIDDEN, trajectory_rows
+from .imitation import DECODER_EPOCHS, DECODER_HIDDEN, DECODER_W_POS, trajectory_rows
 from .pipeline import (
     LOSS_MODES,
     SEQ_MODELS,
@@ -47,8 +46,8 @@ class ImitateConfig:
     """Pose-decoder settings of the imitate subcommand."""
 
     decoder_hidden: tuple = DECODER_HIDDEN
-    decoder_epochs: int = 200
-    w_pos: float = 0.5  # weight of the position term in the pose loss
+    decoder_epochs: int = DECODER_EPOCHS
+    w_pos: float = DECODER_W_POS  # weight of the position term in the pose loss
 
     def __post_init__(self):
         if not (0.0 <= self.w_pos <= 1.0):
@@ -171,10 +170,10 @@ def _pipeline_config(args, sections) -> PipelineConfig:
 
 
 def _load_dataset_for(args, config: PipelineConfig):
-    """The --data dataset and its leave-one-out split, which checks config.val_index."""
+    """The --data dataset and the run's train_val_split of it, which checks config.val_index."""
     dataset = load_dataset(args.data)
     try:
-        return dataset, split_leave_one_out(dataset, config.val_index)
+        return dataset, train_val_split(dataset, config)
     except IndexError as exc:  # names the demonstrator and its demo count
         raise ConfigError(f"[pipeline] val_index: {exc}") from None
 
@@ -182,7 +181,7 @@ def _load_dataset_for(args, config: PipelineConfig):
 def cmd_train(args) -> int:
     sections = parse_config_file(args.config) if args.config else {}
     config = _pipeline_config(args, sections)
-    dataset, _ = _load_dataset_for(args, config)
+    dataset, (_, val) = _load_dataset_for(args, config)
     encoder, bundle, trace = run_alternation(dataset, config)
     os.makedirs(args.out, exist_ok=True)
     modelio.save_model(encoder, os.path.join(args.out, "encoder.model"))
@@ -196,7 +195,6 @@ def cmd_train(args) -> int:
         [(m.round, m.embed_loss, m.train_acc, m.val_acc, m.n_pseudo) for m in trace],
     )
     # final-round confusion matrix on the validation split
-    _, val = train_val_split(dataset, config)
     preds, truths = [], []
     for demo in val.demos:
         p, _ = predict_frames(bundle, encode_array(encoder, demo.features))
@@ -303,6 +301,8 @@ def cmd_imitate(args) -> int:
 def cmd_embed_dump(args) -> int:
     dataset = load_dataset(args.data)
     encoder = modelio.load_model(args.encoder)
+    if not isinstance(encoder, Encoder):
+        raise DataFormatError(f"not an encoder model: {type(encoder).__name__}", path=args.encoder)
     os.makedirs(args.out, exist_ok=True)
     keys = []  # (demo_id, frame_index, label) per encoded row
     for demo in dataset.demos:

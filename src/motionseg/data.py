@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DataFormatError, SchemaError, ShapeError
 
 POSE_DIM = 16  # per arm: position (3), quaternion (4), jaw (1); left then right
+QUAT_NORM_TOL = 1e-4  # |norm - 1| a loaded pose quaternion may show; 6 significant digits pass
 
 
 @dataclass
@@ -377,6 +378,13 @@ def _read_demo_csv(path, demonstrator, demo_id, fps, feature_width) -> Demonstra
         row = int(np.argmax(bad_feat | bad_pose))
         what = "feature" if bad_feat[row] else "pose"
         raise DataFormatError(f"non-finite {what} value", path=path, line=row + 2)
+    if has_poses:
+        norms = np.linalg.norm(poses_arr.reshape(-1, 2, 8)[:, :, 3:7], axis=2)
+        off = np.flatnonzero((np.abs(norms - 1.0) > QUAT_NORM_TOL).any(axis=1))
+        if off.size:
+            raise DataFormatError(
+                f"pose quaternion norm is not 1 within {QUAT_NORM_TOL}", path=path, line=int(off[0]) + 2
+            )
     return Demonstration(
         demo_id=demo_id,
         demonstrator_id=demonstrator,

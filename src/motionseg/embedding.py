@@ -214,18 +214,19 @@ def sample_npairs(labels, rng):
 # training
 
 
-def _labeled_pool(dataset, extra_labels):
-    """(N, 3) rows (demo_index, frame, label) of visible labels plus extra pseudo-labels."""
-    rows = []
-    for di, demo in enumerate(dataset.demos):
-        if demo.labels is not None:
-            rows += ((di, t, lab) for t, lab in enumerate(demo.labels.tolist()))
-        elif extra_labels:
-            rows += ((di, t, lab) for t, lab in sorted(extra_labels.get(demo.demo_id, {}).items()))
-    return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+def _labeled_pool(dataset, pseudo_labels):
+    """(N, 3) rows (demo_index, frame, label), sorted by (demo, frame): every visible label,
+    plus the pseudo-labels (at most one per frame) that fall on unlabeled demos."""
+    unlabeled = {d.demo_id: di for di, d in enumerate(dataset.demos) if d.labels is None}
+    rows = [(di, t, lab) for di, d in enumerate(dataset.demos) if d.labels is not None
+            for t, lab in enumerate(d.labels.tolist())]
+    rows += [(unlabeled[p.demo_id], p.frame_index, p.label)
+             for p in pseudo_labels if p.demo_id in unlabeled]
+    pool = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+    return pool[np.lexsort((pool[:, 1], pool[:, 0]))]
 
 
-def train_embedding(dataset, config, seed: int, extra_labels: dict | None = None):
+def train_embedding(dataset, config, seed: int, pseudo_labels=()):
     """Train an encoder on a dataset; returns (Encoder, per-step loss trace).
 
     config is a pipeline.PipelineConfig; its embedding fields (loss_mode,
@@ -233,8 +234,8 @@ def train_embedding(dataset, config, seed: int, extra_labels: dict | None = None
     embed_lr, embed_epochs) set the run. loss_mode selects the objective:
     "triplet" (supervised), "npairs", "svtcn" (unsupervised time-contrastive),
     or "triplet_tcn" (equal-weight sum of supervised triplet and
-    time-contrastive terms). extra_labels maps demo_id -> {frame -> label}
-    and is merged with visible labels.
+    time-contrastive terms). pseudo_labels (pipeline.PseudoLabel objects)
+    join the visible labels; those on labeled demos are ignored.
     """
     if not dataset.demos:
         raise DegenerateDatasetError("empty dataset")
@@ -250,7 +251,7 @@ def train_embedding(dataset, config, seed: int, extra_labels: dict | None = None
     supervised = loss_mode in ("triplet", "npairs", "triplet_tcn")
     contrastive = loss_mode in ("svtcn", "triplet_tcn")
     if supervised:
-        pool = _labeled_pool(dataset, extra_labels)
+        pool = _labeled_pool(dataset, pseudo_labels)
         if not len(pool):
             raise DegenerateDatasetError("no labeled frames available")
         if np.unique(pool[:, 2]).size < 2:
@@ -428,15 +429,9 @@ class IncrementalPca:
 
 
 def pca2d(points) -> np.ndarray:
-    """Project (N, d) points onto their top-2 principal directions."""
+    """Project (N, d) points onto their top-2 principal directions; 1-wide points get y = 0."""
     X = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if X.shape[0] < 2:
         raise DegenerateBatchError("need at least 2 points for a 2-D projection")
-    centered = X - X.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    comps = vt[:2]
-    if comps.shape[0] < 2:  # 1-D input space
-        comps = np.vstack([comps, np.zeros_like(comps[0])])
-    signs = np.sign(comps[np.arange(2), np.argmax(np.abs(comps), axis=1)])
-    signs[signs == 0] = 1.0
-    return centered @ (comps * signs[:, None]).T
+    coords = IncrementalPca(min(2, X.shape[1])).partial_fit(X).transform(X)
+    return np.hstack([coords, np.zeros((X.shape[0], 2 - coords.shape[1]))])

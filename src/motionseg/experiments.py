@@ -9,7 +9,8 @@ import numpy as np
 
 from .data import Dataset, split_leave_one_out
 from .embedding import IncrementalPca, encode_array
-from .imitation import DECODER_HIDDEN, encode_once, eval_pose, train_pose_decoder
+from .imitation import DECODER_EPOCHS, DECODER_HIDDEN, DECODER_W_POS
+from .imitation import encode_once, eval_pose, train_pose_decoder
 from .pipeline import (
     SEQ_MODELS,
     PipelineConfig,
@@ -97,8 +98,8 @@ def pose_table(
     noise_sigmas=(0.0, 0.15),
     seed: int = 0,
     decoder_hidden=DECODER_HIDDEN,
-    decoder_epochs: int = 200,
-    w_pos: float = 0.5,
+    decoder_epochs: int = DECODER_EPOCHS,
+    w_pos: float = DECODER_W_POS,
 ):
     """Pose metrics for pooled and per-demonstrator decoders across noise levels.
 

@@ -23,6 +23,7 @@ QUAT_SLICES = (slice(3, 7), slice(11, 15))
 MSE_DIMS = np.asarray([0, 1, 2, 7, 8, 9, 10, 15])
 SCOPES = ("pooled", "per_demonstrator")
 DECODER_HIDDEN = (64, 32)  # hidden widths of the pose decoder, shared by the CLI and pose_table
+DECODER_EPOCHS, DECODER_W_POS = 200, 0.5  # training epochs; weight of the position term in the loss
 DECODER_LR, DECODER_BATCH = 1e-3, 64  # Adam step size and minibatch rows of decoder training
 
 
@@ -104,7 +105,7 @@ def pose_loss_batch(pred, truth, w_pos: float):
     return loss, grad
 
 
-def pose_loss(pred: EndEffectorPose, truth: EndEffectorPose, w_pos: float = 0.5):
+def pose_loss(pred: EndEffectorPose, truth: EndEffectorPose, w_pos: float):
     """Loss between two poses; returns (loss, gradient w.r.t. the 16-dim pred vector)."""
     loss, grad = pose_loss_batch(pred.to_vector()[None, :], truth.to_vector()[None, :], w_pos)
     return loss, grad[0]
@@ -113,7 +114,7 @@ def pose_loss(pred: EndEffectorPose, truth: EndEffectorPose, w_pos: float = 0.5)
 @dataclass
 class PoseDecoder:
     mlp: MlpParams
-    w_pos: float = 0.5
+    w_pos: float
     scope: str = "pooled"
 
     def __post_init__(self):
@@ -126,7 +127,7 @@ class PoseDecoder:
 
 
 def new_pose_decoder(
-    embed_dim: int, hidden=DECODER_HIDDEN, w_pos=0.5, scope="pooled", seed=0
+    embed_dim: int, hidden=DECODER_HIDDEN, w_pos=DECODER_W_POS, scope="pooled", seed=0
 ) -> PoseDecoder:
     mlp = init_mlp([embed_dim, *hidden, POSE_DIM], rng=np.random.default_rng(seed))
     return PoseDecoder(mlp=mlp, w_pos=w_pos, scope=scope)
@@ -160,10 +161,10 @@ def train_pose_decoder(
     encoder,
     demos,
     scope: str = "pooled",
-    epochs: int = 200,
+    epochs: int = DECODER_EPOCHS,
     seed: int = 0,
     hidden=DECODER_HIDDEN,
-    w_pos: float = 0.5,
+    w_pos: float = DECODER_W_POS,
 ):
     """Train decoder(s) on frozen embeddings.
 

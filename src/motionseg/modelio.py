@@ -2,17 +2,20 @@
 
 Layout: a magic header line, one JSON metadata line (kind, meta fields,
 array names in order), then each array appended with np.save. Float64
-arrays round-trip bit-exactly.
+arrays round-trip bit-exactly. LAYOUTS declares each kind's file once; a
+file that does not match its kind raises DataFormatError naming the file.
 """
 
 from __future__ import annotations
 
 import json
+from functools import reduce
 
 import numpy as np
 
 from .embedding import Encoder
-from .errors import DataFormatError
+from .errors import DataFormatError, ModelInvalidError
+from .imitation import PoseDecoder
 from .numerics import Layer, MlpParams
 from .seqmodels.crf import LinearChainCrf
 from .seqmodels.hmm import GaussianHmm
@@ -21,6 +24,21 @@ from .seqmodels.knn import KnnModel
 from .seqmodels.rnn import BiRnn, LstmCell
 
 MAGIC = b"MSEGMODEL1\n"
+MLP = None  # an MLP kind's arrays: w0, b0, w1, b1, ..., one pair per "activations" entry
+
+# kind -> (class, {meta field: type}, {array name: attribute} in file order, or MLP).
+# Attribute "fwd.w" is field w of the model's LstmCell fwd, the one kind of nested part.
+LAYOUTS = {
+    "encoder": (Encoder, {"activations": list, "trained": bool}, MLP),
+    "hmm": (GaussianHmm, {}, {n: n for n in ("pi", "A", "means", "covs")}),
+    "hsmm": (Hsmm, {"d_max": int}, {n: n for n in ("pi", "A", "means", "covs", "lambdas")}),
+    "crf": (LinearChainCrf, {"trained": bool}, {n: n for n in ("projection", "unary", "transitions")}),
+    "birnn": (BiRnn, {"stride": int}, {
+        "fw": "fwd.w", "fu": "fwd.u", "fb": "fwd.b", "bw": "bwd.w", "bu": "bwd.u", "bb": "bwd.b",
+        "w_out": "w_out", "b_out": "b_out"}),
+    "knn": (KnnModel, {"k": int}, {"points": "train_points", "labels": "train_labels"}),
+    "pose_decoder": (PoseDecoder, {"activations": list, "w_pos": float, "scope": str}, MLP),
+}
 
 
 def _write(path, kind: str, meta: dict, arrays: dict):
@@ -34,93 +52,65 @@ def _write(path, kind: str, meta: dict, arrays: dict):
 
 
 def _read(path):
+    """(kind, meta, arrays) of a model file whose header matches its kind's layout."""
+    def bad(message):
+        return DataFormatError(message, path=str(path))
+
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
-            raise DataFormatError("not a model file (bad magic)", path=str(path))
-        header = json.loads(fh.readline().decode("utf-8"))
-        arrays = {name: np.load(fh, allow_pickle=False) for name in header["arrays"]}
-    return header["kind"], header["meta"], arrays
-
-
-def _mlp_arrays(mlp: MlpParams):
-    return {f"{name}{i}": a for i, l in enumerate(mlp.layers) for name, a in (("w", l.w), ("b", l.b))}
-
-
-def _mlp_from_arrays(arrays, activations):
-    return MlpParams([Layer(arrays[f"w{i}"], arrays[f"b{i}"], act) for i, act in enumerate(activations)])
+            raise bad("not a model file (bad magic)")
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+            kind, meta, names = header["kind"], header["meta"], header["arrays"]
+        except (ValueError, KeyError, TypeError):  # not UTF-8 JSON, or no object with these keys
+            raise bad("model header is not a JSON object with kind, meta and arrays") from None
+        if not isinstance(kind, str) or kind not in LAYOUTS:
+            raise bad(f"unknown model kind {kind!r}")
+        _, types, attrs = LAYOUTS[kind]
+        if not isinstance(meta, dict) or sorted(meta) != sorted(types):
+            raise bad(f"{kind} meta must hold exactly {sorted(types)}, got {meta!r}")
+        for field, typ in types.items():  # JSON's exact types, but an int passes as a float
+            if type(meta[field]) not in {float: (int, float)}.get(typ, (typ,)):
+                raise bad(f"{kind} meta {field!r} must be {typ.__name__}, got {meta[field]!r}")
+        want = list(attrs) if attrs is not MLP else [
+            f"{p}{i}" for i in range(len(meta["activations"])) for p in "wb"]
+        if names != want:
+            raise bad(f"{kind} arrays must be {want}, got {names!r}")
+        try:
+            arrays = {name: np.load(fh, allow_pickle=False) for name in names}
+        except (ValueError, EOFError) as exc:  # truncated, or not .npy records
+            raise bad(f"{kind} arrays unreadable: {exc}") from None
+    return kind, {field: typ(meta[field]) for field, typ in types.items()}, arrays
 
 
 def save_model(model, path) -> None:
-    if isinstance(model, Encoder):
-        meta = {
-            "activations": [l.activation for l in model.mlp.layers],
-            "trained": model.trained,
-        }
-        _write(path, "encoder", meta, _mlp_arrays(model.mlp))
-    elif isinstance(model, GaussianHmm):
-        _write(path, "hmm", {}, {"pi": model.pi, "A": model.A, "means": model.means, "covs": model.covs})
-    elif isinstance(model, Hsmm):
-        _write(
-            path, "hsmm", {"d_max": model.d_max},
-            {"pi": model.pi, "A": model.A, "means": model.means, "covs": model.covs, "lambdas": model.lambdas},
-        )
-    elif isinstance(model, LinearChainCrf):
-        _write(
-            path, "crf", {"trained": model.trained},
-            {"projection": model.projection, "unary": model.unary, "transitions": model.transitions},
-        )
-    elif isinstance(model, BiRnn):
-        arrays = {
-            "fw": model.fwd.w, "fu": model.fwd.u, "fb": model.fwd.b,
-            "bw": model.bwd.w, "bu": model.bwd.u, "bb": model.bwd.b,
-            "w_out": model.w_out, "b_out": model.b_out,
-        }
-        _write(path, "birnn", {"stride": model.stride}, arrays)
-    elif isinstance(model, KnnModel):
-        _write(path, "knn", {"k": model.k}, {"points": model.train_points, "labels": model.train_labels})
+    kind = next((k for k, (cls, _, _) in LAYOUTS.items() if isinstance(model, cls)), None)
+    if kind is None:
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    _, types, attrs = LAYOUTS[kind]
+    layers = model.mlp.layers if attrs is MLP else []
+    meta = {f: getattr(model, f) if f != "activations" else [l.activation for l in layers] for f in types}
+    if attrs is MLP:
+        arrays = {f"{p}{i}": getattr(l, p) for i, l in enumerate(layers) for p in "wb"}
     else:
-        from .imitation import PoseDecoder
-
-        if isinstance(model, PoseDecoder):
-            meta = {
-                "activations": [l.activation for l in model.mlp.layers],
-                "w_pos": model.w_pos,
-                "scope": model.scope,
-            }
-            _write(path, "pose_decoder", meta, _mlp_arrays(model.mlp))
-        else:
-            raise TypeError(f"cannot serialize {type(model).__name__}")
+        arrays = {name: reduce(getattr, attr.split("."), model) for name, attr in attrs.items()}
+    _write(path, kind, meta, arrays)
 
 
 def load_model(path):
-    kind, meta, arrays = _read(path)
-    if kind == "encoder":
-        return Encoder(mlp=_mlp_from_arrays(arrays, meta["activations"]), trained=meta["trained"])
-    if kind == "hmm":
-        return GaussianHmm(pi=arrays["pi"], A=arrays["A"], means=arrays["means"], covs=arrays["covs"])
-    if kind == "hsmm":
-        return Hsmm(
-            pi=arrays["pi"], A=arrays["A"], means=arrays["means"], covs=arrays["covs"],
-            lambdas=arrays["lambdas"], d_max=int(meta["d_max"]),
-        )
-    if kind == "crf":
-        return LinearChainCrf(
-            projection=arrays["projection"], unary=arrays["unary"],
-            transitions=arrays["transitions"], trained=meta["trained"],
-        )
-    if kind == "birnn":
-        return BiRnn(
-            fwd=LstmCell(arrays["fw"], arrays["fu"], arrays["fb"]),
-            bwd=LstmCell(arrays["bw"], arrays["bu"], arrays["bb"]),
-            w_out=arrays["w_out"], b_out=arrays["b_out"], stride=int(meta["stride"]),
-        )
-    if kind == "knn":
-        return KnnModel(arrays["points"], arrays["labels"], k=int(meta["k"]))
-    if kind == "pose_decoder":
-        from .imitation import PoseDecoder
-
-        return PoseDecoder(
-            mlp=_mlp_from_arrays(arrays, meta["activations"]),
-            w_pos=float(meta["w_pos"]), scope=meta["scope"],
-        )
-    raise DataFormatError(f"unknown model kind {kind!r}", path=str(path))
+    """The model saved at path; a file its kind's class rejects raises DataFormatError
+    (a non-positive-definite covariance raises ModelInvalidError)."""
+    kind, kwargs, arrays = _read(path)
+    cls, _, attrs = LAYOUTS[kind]
+    try:
+        if attrs is MLP:
+            acts = enumerate(kwargs.pop("activations"))
+            kwargs["mlp"] = MlpParams([Layer(arrays[f"w{i}"], arrays[f"b{i}"], a) for i, a in acts])
+        for name, attr in (attrs or {}).items():  # "fwd.w" goes to kwargs["fwd"]["w"]
+            head, _, field = attr.rpartition(".")
+            (kwargs.setdefault(head, {}) if head else kwargs)[field] = arrays[name]
+        return cls(**{k: LstmCell(**v) if isinstance(v, dict) else v for k, v in kwargs.items()})
+    except ModelInvalidError:
+        raise
+    except (ValueError, IndexError, TypeError) as exc:  # the checks of the classes, on odd arrays
+        raise DataFormatError(f"bad {kind} model: {exc}", path=str(path)) from None

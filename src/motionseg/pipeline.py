@@ -265,13 +265,6 @@ def select_top_k(pseudo_labels, k: int):
     return kept
 
 
-def _pseudo_to_extra_labels(pseudo_labels) -> dict:
-    extra: dict[str, dict[int, int]] = {}
-    for p in pseudo_labels:
-        extra.setdefault(p.demo_id, {})[p.frame_index] = p.label
-    return extra
-
-
 # ---------------------------------------------------------------------------
 # the alternation loop
 
@@ -317,9 +310,7 @@ def run_alternation(dataset: Dataset, config: PipelineConfig):
         else:
             pseudo = infer_pseudo_labels(encoder, bundle, train.unlabeled_demos())
             pseudo_kept = select_top_k(pseudo, config.top_k)
-            encoder, embed_trace = train_embedding(
-                train, config, embed_seed, extra_labels=_pseudo_to_extra_labels(pseudo_kept)
-            )
+            encoder, embed_trace = train_embedding(train, config, embed_seed, pseudo_kept)
         embed_fn = lambda F: encode_array(encoder, F)
         bundle = train_sequence_model(embed_fn, train, config, seed=seq_seed)
         train_acc = evaluate_segmentation(embed_fn, bundle, train.labeled_demos())

@@ -40,7 +40,7 @@ class LinearChainCrf:
         return self.unary.shape[0]
 
 
-def new_crf(num_labels: int, embed_dim: int, num_basis: int = 32, seed: int = 0) -> LinearChainCrf:
+def new_crf(num_labels: int, embed_dim: int, num_basis: int, seed: int) -> LinearChainCrf:
     rng = np.random.default_rng(seed)
     projection = rng.normal(0.0, 1.0, size=(num_basis, embed_dim))
     return LinearChainCrf(
@@ -102,11 +102,7 @@ def crf_loglik_and_grad(crf: LinearChainCrf, sequences):
 
 
 def crf_train(
-    sequences,
-    num_labels: int,
-    iterations: int = 100,
-    num_basis: int = 32,
-    seed: int = 0,
+    sequences, num_labels: int, iterations: int, num_basis: int, seed: int
 ) -> tuple[LinearChainCrf, list[float]]:
     """Gradient ascent with backtracking; returns (model, objective trace).
 

@@ -171,13 +171,7 @@ def init_gaussian_hmm(sequences, K, seed) -> GaussianHmm:
     )
 
 
-def hmm_em_fit(
-    sequences,
-    K: int,
-    iterations: int,
-    seed: int,
-    init: GaussianHmm | None = None,
-) -> tuple[GaussianHmm, list[float]]:
+def hmm_em_fit(sequences, K: int, iterations: int, seed: int) -> tuple[GaussianHmm, list[float]]:
     """Baum-Welch over a list of (T, d) sequences.
 
     Returns (model, trace) where trace[i] is the total log-likelihood under
@@ -188,8 +182,7 @@ def hmm_em_fit(
     seqs = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in sequences]
     if not seqs or sum(s.shape[0] for s in seqs) == 0:
         raise ValueError("no training frames")
-    hmm = init if init is not None else init_gaussian_hmm(seqs, K, seed)
-    K = hmm.n_states
+    hmm = init_gaussian_hmm(seqs, K, seed)
     X, lengths = chain.stack(seqs)
     trace = []
     for _ in range(int(iterations)):

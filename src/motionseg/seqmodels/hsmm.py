@@ -198,13 +198,7 @@ def hsmm_posteriors(hsmm: Hsmm, X):
     return float(loglik[0]), gamma[0], xi, rho, dur_counts
 
 
-def hsmm_em_fit(
-    sequences,
-    K: int,
-    iterations: int,
-    seed: int,
-    d_max: int = 60,
-) -> tuple[Hsmm, list[float]]:
+def hsmm_em_fit(sequences, K: int, iterations: int, seed: int, d_max: int) -> tuple[Hsmm, list[float]]:
     """EM for the explicit-duration model; mirrors hmm_em_fit's trace contract."""
     seqs = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in sequences]
     if not seqs:

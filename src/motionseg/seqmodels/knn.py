@@ -56,10 +56,7 @@ def _vote(distances, labels, k):
 
 def knn_predict(train_points, train_labels, query, k: int) -> int:
     """Majority label of the k nearest training points to one query vector."""
-    model = KnnModel(train_points, train_labels, k)
-    q = np.asarray(query, dtype=np.float64)
-    distances = np.linalg.norm(model.train_points - q, axis=1)
-    labels, _ = _vote(distances[None, :], model.train_labels, model.k)
+    labels, _ = knn_predict_batch(KnnModel(train_points, train_labels, k), query)
     return int(labels[0])
 
 

@@ -302,16 +302,11 @@ def rnn_predict(rnn: BiRnn, window) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def rnn_predict_sequence(rnn: BiRnn, X) -> tuple[np.ndarray, np.ndarray]:
-    """Chunk a long sequence into stride windows and label them as one batch."""
+    """Chunk a long sequence into stride windows, as training does, and label them as one batch."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    T, d = X.shape
-    if T == 0:
+    if X.shape[0] == 0:
         raise ValueError("empty sequence")
-    n_win = -(-T // rnn.stride)
-    width = min(T, rnn.stride)
-    padded = np.zeros((n_win * width, d))
-    padded[:T] = X
-    lengths = np.full(n_win, width)
-    lengths[-1] = T - (n_win - 1) * width
-    labels, conf, _ = _predict_padded(rnn, padded.reshape(n_win, width, d), lengths)
-    return labels.reshape(-1)[:T], conf.reshape(-1)[:T]
+    wins, ones = make_windows([X], [np.ones(X.shape[0])], rnn.stride)  # the labels go unused
+    batch, _, lengths, mask = _pad_batch(wins, ones)
+    labels, conf, _ = _predict_padded(rnn, batch, lengths)
+    return labels[mask], conf[mask]  # the valid frames of each window, in order

@@ -288,6 +288,20 @@ class TestEmbedDump:
         assert len(pca_lines) - 1 == ds.num_frames
         assert pca_lines[0] == "demo_id,frame_index,label,x,y"
 
+    def test_non_encoder_model_exits_1_naming_file(self, workspace, capsys):
+        from motionseg.modelio import save_model
+        from motionseg.seqmodels.knn import KnnModel
+
+        path = workspace / "knn.model"
+        save_model(KnnModel(np.eye(3), [1, 2, 3], k=1), path)
+        code = main([
+            "embed-dump", "--data", data_manifest(workspace),
+            "--encoder", str(path), "--out", str(workspace / "ed_knn"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: not an encoder model") and str(path) in err
+
 
 PIPELINE_COMMANDS = ("train", "eval", "imitate")
 

@@ -147,6 +147,32 @@ class TestSerialization:
             load_dataset(manifest)
         assert info.value.path.endswith("demo_0001.csv") and info.value.line == 3
 
+    def test_non_unit_quaternion_rejected_with_file_and_line(self, tmp_path):
+        manifest = save_dataset(generate_synthetic(default_config(seed=9)), tmp_path / "out")
+        csv = tmp_path / "out" / "demos" / "demo_0001.csv"
+        lines = csv.read_text().splitlines()
+        parts = lines[4].split(",")
+        # line 5's right-arm quaternion (columns 2 + 11..14), scaled by 1.01
+        parts[13:17] = [repr(float(v) * 1.01) for v in parts[13:17]]
+        lines[4] = ",".join(parts)
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="quaternion norm") as info:
+            load_dataset(manifest)
+        assert info.value.path.endswith("demo_0001.csv") and info.value.line == 5
+
+    def test_poses_rounded_to_six_significant_digits_load(self, tmp_path):
+        ds = generate_synthetic(default_config(seed=10))
+        manifest = save_dataset(ds, tmp_path / "out")
+        for csv in sorted((tmp_path / "out" / "demos").glob("*.csv")):
+            header, *rows = csv.read_text().splitlines()
+            rows = [r.split(",") for r in rows]
+            rows = [",".join(r[:2] + [f"{float(v):.6g}" for v in r[2:18]] + r[18:]) for r in rows]
+            csv.write_text("\n".join([header, *rows]) + "\n")
+        back = load_dataset(manifest)
+        for da, db in zip(ds.demos, back.demos):
+            np.testing.assert_allclose(db.poses, da.poses, rtol=1e-5, atol=1e-5)
+            assert not np.array_equal(db.poses, da.poses)
+
     @pytest.mark.parametrize("fps", ["0", "-3.0", "nan", "inf", "fast"])
     def test_bad_fps_rejected_with_manifest_line(self, tmp_path, fps):
         ds = generate_synthetic(default_config(seed=9))
@@ -215,34 +241,47 @@ def fuzz_root(tmp_path_factory):
     return os.path.dirname(save_dataset(ds, tmp_path_factory.mktemp("fuzz")))
 
 
+FUZZ_CSVS = ["demos/demo_0000.csv", "demos/demo_0001.csv"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    name=st.sampled_from(["manifest.txt", "demos/demo_0000.csv", "demos/demo_0001.csv"]),
-    # each edit replaces `cut` bytes at `at` (mod the file length) with `put`
+    # one file, or the manifest and one demo CSV together
+    names=st.sampled_from(
+        [["manifest.txt"], *[[c] for c in FUZZ_CSVS], *[["manifest.txt", c] for c in FUZZ_CSVS]]
+    ),
+    # per file, each edit replaces `cut` bytes at `at` (mod the file length) with `put`
     edits=st.lists(
-        st.tuples(st.integers(0, 1 << 16), st.integers(0, 3), st.binary(max_size=3)),
-        min_size=1, max_size=4,
+        st.lists(
+            st.tuples(st.integers(0, 1 << 16), st.integers(0, 3), st.binary(max_size=3)),
+            min_size=1, max_size=4,
+        ),
+        min_size=2, max_size=2,
     ),
 )
-def test_loader_fuzz_fails_only_with_library_or_os_errors(fuzz_root, name, edits):
-    """Any byte-level corruption of a saved dataset either still loads or
-    raises a MotionsegError (exit 1 from the CLI) or an OSError."""
-    path = os.path.join(fuzz_root, name)
-    with open(path, "rb") as fh:
-        original = fh.read()
-    data = bytearray(original)
-    for at, cut, put in edits:
-        at %= len(data) + 1
-        data[at : at + cut] = put
-    with open(path, "wb") as fh:
-        fh.write(data)
+def test_loader_fuzz_fails_only_with_library_or_os_errors(fuzz_root, names, edits):
+    """Any byte-level corruption of a saved dataset, in one file or in the
+    manifest and a demo CSV together, either still loads or raises a
+    MotionsegError (exit 1 from the CLI) or an OSError."""
+    originals = {}
+    for name, file_edits in zip(names, edits):
+        path = os.path.join(fuzz_root, name)
+        with open(path, "rb") as fh:
+            originals[path] = fh.read()
+        data = bytearray(originals[path])
+        for at, cut, put in file_edits:
+            at %= len(data) + 1
+            data[at : at + cut] = put
+        with open(path, "wb") as fh:
+            fh.write(data)
     try:
         load_dataset(os.path.join(fuzz_root, "manifest.txt"))
     except (MotionsegError, OSError):
         pass
     finally:
-        with open(path, "wb") as fh:
-            fh.write(original)
+        for path, original in originals.items():
+            with open(path, "wb") as fh:
+                fh.write(original)
 
 
 class TestSplits:

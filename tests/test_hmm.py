@@ -163,19 +163,6 @@ def test_em_recovers_two_state_model():
     assert (diffs >= -1e-6).all()
 
 
-def test_em_from_truth_init_does_not_decrease_loglik():
-    rng = np.random.default_rng(7)
-    truth = GaussianHmm(
-        pi=[0.5, 0.5],
-        A=[[0.8, 0.2], [0.3, 0.7]],
-        means=[[-1.5], [1.5]],
-        covs=np.array([[[0.4]], [[0.4]]]),
-    )
-    X, _ = sample_hmm(truth, 800, rng)
-    _, trace = hmm_em_fit([X], K=2, iterations=1, seed=0, init=truth)
-    assert trace[1] >= trace[0] - 1e-6
-
-
 def test_em_single_state_recovers_pooled_statistics():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(400, 3)) @ np.diag([1.0, 0.5, 2.0]) + np.array([1.0, -1.0, 0.5])

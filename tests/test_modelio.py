@@ -1,16 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from motionseg.embedding import new_encoder
+from motionseg.embedding import Encoder, new_encoder
 from motionseg.errors import DataFormatError, ModelInvalidError
-from motionseg.imitation import new_pose_decoder
-from motionseg.modelio import _write, load_model, save_model
-from motionseg.numerics import pack_arrays
-from motionseg.seqmodels.crf import new_crf
+from motionseg.imitation import PoseDecoder, new_pose_decoder
+from motionseg.modelio import MAGIC, _write, load_model, save_model
+from motionseg.numerics import Layer, MlpParams, pack_arrays
+from motionseg.seqmodels.crf import LinearChainCrf, new_crf
 from motionseg.seqmodels.hmm import GaussianHmm
 from motionseg.seqmodels.hsmm import Hsmm
 from motionseg.seqmodels.knn import KnnModel
-from motionseg.seqmodels.rnn import new_birnn
+from motionseg.seqmodels.rnn import BiRnn, LstmCell, new_birnn
 
 
 def roundtrip(model, tmp_path, name="m.model"):
@@ -116,3 +118,141 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOTAMODEL\n{}")
     with pytest.raises(DataFormatError):
         load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# the file format, pinned: one model of each kind built from fixed arrays
+
+
+def grid(*shape):
+    return (np.arange(int(np.prod(shape))) % 7 - 3.0).reshape(shape) / 8.0
+
+
+def fixed_mlp(sizes, activations):
+    return MlpParams([
+        Layer(grid(o, i), grid(o)[::-1], act) for i, o, act in zip(sizes, sizes[1:], activations)
+    ])
+
+
+def fixed_models():
+    return {
+        "encoder": Encoder(fixed_mlp([5, 6, 3], ["relu", "identity"]), trained=True),
+        "hmm": GaussianHmm(
+            pi=np.full(3, 1 / 3), A=np.full((3, 3), 1 / 3), means=grid(3, 2),
+            covs=np.stack([np.eye(2) * (1 + i) for i in range(3)]),
+        ),
+        "hsmm": Hsmm(
+            pi=[0.25, 0.75], A=[[0.0, 1.0], [1.0, 0.0]], means=grid(2, 3),
+            covs=np.stack([np.eye(3)] * 2), lambdas=[2.5, 7.0], d_max=9,
+        ),
+        "crf": LinearChainCrf(
+            projection=grid(4, 3), unary=grid(3, 4), transitions=grid(3, 3), trained=True
+        ),
+        "birnn": BiRnn(
+            LstmCell(grid(8, 3), grid(8, 2), grid(8)), LstmCell(grid(8, 3), grid(8, 2), -grid(8)),
+            w_out=grid(4, 4), b_out=grid(4), stride=7,
+        ),
+        "knn": KnnModel(grid(6, 2), np.arange(6) % 3 + 1, k=2),
+        "pose_decoder": PoseDecoder(
+            fixed_mlp([4, 5, 16], ["tanh", "identity"]), w_pos=0.25, scope="per_demonstrator"
+        ),
+    }
+
+
+# sha256 of each fixed model's file: the file format changes only if one of these is changed
+PINNED_SHA256 = {
+    "encoder": "01cf04a8857b16ac299a65e22f0f02aef38ffe21ef7c153f979f9c5247c28c68",
+    "hmm": "bdb84b9fe58f619e7e99d9a80f7afb4328c700dbe8f286190dbf6d7c43ed63c6",
+    "hsmm": "3d19d38101c4ad34034f659cc4e6ae68e2271f7a882ca0c9243d5c4ed23e7755",
+    "crf": "9507fa8ca9ce7ae491616b8b80d5a6e303a6e91a3a8e08481285e9cc517ae57b",
+    "birnn": "2766bf7052154070f4cb9fbf1724df7627fa4417560e9361aa53aa596599fdf2",
+    "knn": "880a22dbcac0dabbec52bcde503492411268c0e57cffdbc2424c83fa34c2bc31",
+    "pose_decoder": "7cac93cfd96e63f968f5236600e8344470c126ba0ba3e488701003fb983111af",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_SHA256))
+def test_saved_file_bytes_are_pinned(tmp_path, kind):
+    model = fixed_models()[kind]
+    back, path = roundtrip(model, tmp_path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[kind]
+    save_model(back, tmp_path / "again.model")
+    assert (tmp_path / "again.model").read_bytes() == path.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# damaged files fail at the boundary, naming the file
+
+
+def assert_rejected(path, match):
+    with pytest.raises(DataFormatError, match=match) as info:
+        load_model(path)
+    assert info.value.path == str(path)
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_SHA256))
+def test_truncated_file_rejected(tmp_path, kind):
+    path = tmp_path / "m.model"
+    save_model(fixed_models()[kind], path)
+    whole = path.read_bytes()
+    header_end = whole.index(b"\n", len(MAGIC)) + 1
+    for cut in (header_end + 3, header_end + 100, len(whole) - 1):
+        path.write_bytes(whole[:cut])
+        assert_rejected(path, "unreadable")
+
+
+@pytest.mark.parametrize("header", [
+    b"not json\n",
+    b"\xff\xfe\n",
+    b"[1, 2]\n",
+    b'{"meta": {}, "arrays": []}\n',
+    b'{"kind": "hmm", "arrays": []}\n',
+    b'{"kind": "hmm", "meta": {}}\n',
+])
+def test_header_without_kind_meta_and_arrays_rejected(tmp_path, header):
+    path = tmp_path / "m.model"
+    path.write_bytes(MAGIC + header)
+    assert_rejected(path, "header")
+
+
+def test_missing_or_extra_array_rejected(tmp_path):
+    hmm = fixed_models()["hmm"]
+    arrays = {"pi": hmm.pi, "A": hmm.A, "means": hmm.means}
+    _write(tmp_path / "m.model", "hmm", {}, arrays)
+    assert_rejected(tmp_path / "m.model", "arrays must be")
+    _write(tmp_path / "m.model", "hmm", {}, {**arrays, "covs": hmm.covs, "extra": hmm.pi})
+    assert_rejected(tmp_path / "m.model", "arrays must be")
+
+
+@pytest.mark.parametrize("meta,match", [
+    ({}, "meta must hold"),
+    ({"d_max": 9, "extra": 1}, "meta must hold"),
+    ({"d_max": "9"}, "must be int"),
+    ({"d_max": 9.0}, "must be int"),
+    ({"d_max": True}, "must be int"),
+])
+def test_missing_or_mistyped_meta_rejected(tmp_path, meta, match):
+    hsmm = fixed_models()["hsmm"]
+    arrays = {n: getattr(hsmm, n) for n in ("pi", "A", "means", "covs", "lambdas")}
+    _write(tmp_path / "m.model", "hsmm", meta, arrays)
+    assert_rejected(tmp_path / "m.model", match)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("trained", "yes"), ("trained", 1), ("activations", "relu"), ("activations", ["relu", 3]),
+])
+def test_mistyped_encoder_meta_rejected(tmp_path, field, value):
+    path = tmp_path / "m.model"
+    enc = fixed_models()["encoder"]
+    meta = {"activations": ["relu", "identity"], "trained": True, field: value}
+    arrays = {f"{p}{i}": getattr(l, p) for i, l in enumerate(enc.mlp.layers) for p in "wb"}
+    _write(path, "encoder", meta, arrays)
+    assert_rejected(path, "activation" if value == ["relu", 3] else "must be")
+
+
+def test_values_a_model_rejects_name_the_file(tmp_path):
+    knn = fixed_models()["knn"]
+    _write(tmp_path / "m.model", "knn", {"k": 99}, {"points": knn.train_points, "labels": knn.train_labels})
+    assert_rejected(tmp_path / "m.model", "bad knn model")
+    _write(tmp_path / "m.model", "knn", {"k": 2}, {"points": knn.train_points, "labels": knn.train_labels[:3]})
+    assert_rejected(tmp_path / "m.model", "bad knn model")
