@@ -268,7 +268,7 @@ def load_dataset(manifest_path) -> Dataset:
     base = os.path.dirname(manifest_path)
     num_classes = feature_width = None
     metadata = {}
-    demo_specs = []
+    demo_specs, first_line = [], {}  # demo_id -> line of its demo entry
     for lineno, raw in enumerate(_text_lines(manifest_path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -295,6 +295,13 @@ def load_dataset(manifest_path) -> Dataset:
                     line=lineno,
                 )
             fps = _parse_fps(parts[2], manifest_path, lineno)
+            if parts[1] in first_line:  # pseudo-labels are keyed by demo_id
+                raise DataFormatError(
+                    f"demo_id {parts[1]!r} already used on line {first_line[parts[1]]}",
+                    path=manifest_path,
+                    line=lineno,
+                )
+            first_line[parts[1]] = lineno
             demo_specs.append((parts[0], parts[1], fps, parts[3], lineno))
         else:
             raise SchemaError(f"unknown manifest key {key!r}", path=manifest_path, line=lineno)

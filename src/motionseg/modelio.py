@@ -9,9 +9,13 @@ file that does not match its kind raises DataFormatError naming the file.
 from __future__ import annotations
 
 import json
+import math
+import os
+import tokenize
 from functools import reduce
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .embedding import Encoder
 from .errors import DataFormatError, ModelInvalidError
@@ -76,11 +80,32 @@ def _read(path):
             f"{p}{i}" for i in range(len(meta["activations"])) for p in "wb"]
         if names != want:
             raise bad(f"{kind} arrays must be {want}, got {names!r}")
+        size = os.fstat(fh.fileno()).st_size
         try:
-            arrays = {name: np.load(fh, allow_pickle=False) for name in names}
-        except (ValueError, EOFError) as exc:  # truncated, or not .npy records
+            arrays = {name: _load_array(fh, size) for name in names}
+        # truncated, or not .npy records; numpy's fallback parser for old .npy
+        # headers raises TokenError on some damaged ones
+        except (ValueError, EOFError, tokenize.TokenError) as exc:
             raise bad(f"{kind} arrays unreadable: {exc}") from None
     return kind, {field: typ(meta[field]) for field, typ in types.items()}, arrays
+
+
+def _load_array(fh, size):
+    """The .npy record at fh's position in a size-byte file. Its header must
+    declare a numeric array that fits in the bytes left, so a damaged shape
+    cannot ask for more memory than the file holds."""
+    start = fh.tell()
+    version = npy.read_magic(fh)
+    if version not in ((1, 0), (2, 0)):
+        raise ValueError(f"unsupported .npy version {version}")
+    read_header = npy.read_array_header_1_0 if version == (1, 0) else npy.read_array_header_2_0
+    shape, _, dtype = read_header(fh)
+    if dtype.kind not in "biuf":
+        raise ValueError(f"array of dtype {dtype} is not numeric")
+    if math.prod(shape) * dtype.itemsize > size - fh.tell():
+        raise ValueError(f"array of shape {shape} runs past the end of the file")
+    fh.seek(start)
+    return np.load(fh, allow_pickle=False)
 
 
 def save_model(model, path) -> None:

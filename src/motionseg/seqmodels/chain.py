@@ -3,7 +3,9 @@
 N ragged sequences travel as one zero-padded (N, T, K) array plus lengths;
 Python loops run over time only. Messages stay in log space; the sum over
 the previous state is a max-shifted matrix product (Rabiner 1989, §V.A),
-redone exactly in log space wherever it would underflow.
+redone exactly in log space wherever it would underflow. The backward
+recursion reads only the emissions, never the forward messages, so one
+time loop carries both directions as a (2, N, K) stack (``PairStep``).
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ class Step:
     """logsumexp_j(x[:, j] + log_M[j, k]) for the rows of x, by a shifted matrix product."""
 
     def __init__(self, log_M):
-        self.log_M = log_M
+        # C order whatever the caller's layout: a one-row product takes a
+        # layout-dependent BLAS path, and PairStep must match Step bit for bit
+        self.log_M = log_M = np.ascontiguousarray(log_M)
         self.shift = float(np.max(log_M))
         self.M = np.exp(log_M - self.shift)
         live = self.M.any(axis=0)  # columns some state can reach
@@ -76,6 +80,28 @@ class Step:
         return logsumexp(x[:, :, None] + self.log_M, axis=1)
 
 
+class PairStep:
+    """Step(log_M) on x[0] and Step(log_M.T) on x[1], for a (2, N, K) stack of a
+    forward and a backward message, with one call per operation for both. The
+    result equals the two Steps' bit for bit: where either direction would leave
+    the plain-log branch, each is redone by its own Step."""
+
+    def __init__(self, log_M):
+        self.fwd, self.bwd = Step(log_M), Step(log_M.T)
+        self.M = np.stack([self.fwd.M, self.bwd.M])
+        self.plain = self.fwd.live is None and self.bwd.live is None
+
+    def __call__(self, x):
+        if self.plain:
+            m = x.max(axis=2, keepdims=True)
+            s = np.matmul(np.exp(x - m), self.M)
+            if s.min() > TINY:
+                s = np.log(s, out=s)
+                s += m + self.fwd.shift
+                return s
+        return np.stack([self.fwd(x[0]), self.bwd(x[1])])
+
+
 def forward_backward(log_unary, log_trans, lengths, log_init=None):
     """Posteriors of N padded chains: gamma (N, T, K), zero past each length;
     pairwise marginals summed over all frame pairs (K, K); log normalizers (N,)."""
@@ -89,16 +115,19 @@ def posteriors(log_unary, log_trans, lengths, log_init=None):
     N, T, K = log_unary.shape
     check_lengths(lengths)
     last = np.asarray(lengths) - 1
-    fwd, bwd = Step(log_trans), Step(log_trans.T)
-    la = np.empty((N, T, K))
+    step = PairStep(log_trans)
+    la, lb = np.empty((N, T, K)), np.zeros((N, T, K))
     la[:, 0] = log_unary[:, 0] if log_init is None else log_init + log_unary[:, 0]
+    x = np.empty((2, N, K))  # the messages leaving t - 1 forward and T - t backward
     for t in range(1, T):
-        la[:, t] = log_unary[:, t] + fwd(la[:, t - 1])
+        b = T - 1 - t
+        x[0] = la[:, t - 1]
+        np.add(log_unary[:, b + 1], lb[:, b + 1], out=x[1])
+        out = step(x)
+        np.add(log_unary[:, t], out[0], out=la[:, t])
+        lb[:, b] = out[1]
+        lb[b >= last, b] = 0.0  # a sequence's last frame, and padding past it
     logz = logsumexp(la[np.arange(N), last], axis=1)
-    lb = np.zeros((N, T, K))
-    for t in range(T - 2, -1, -1):
-        lb[:, t] = bwd(log_unary[:, t + 1] + lb[:, t + 1])
-        lb[t >= last, t] = 0.0  # a sequence's last frame, and padding past it
     lb += la  # gamma takes over the backward buffer
     lb -= lb.max(axis=2, keepdims=True)
     gamma = np.exp(lb, out=lb)
@@ -139,11 +168,12 @@ def viterbi(log_unary, log_trans, lengths, log_init=None):
     done = int(last.min())  # from here on some sequences have ended
     delta = log_unary[:, 0] if log_init is None else log_init + log_unary[:, 0]
     back = np.zeros((T, N, K), dtype=np.int64)
+    into = np.ascontiguousarray(log_trans.T)  # into[k, j] = log_trans[j, k]
     rows, cols = np.arange(N), np.arange(K)
     for t in range(1, T):  # a finished sequence keeps its last delta
-        scores = delta[:, :, None] + log_trans
-        back[t] = prev = scores.argmax(axis=1)
-        new = scores[rows[:, None], prev, cols] + log_unary[:, t]  # the max, gathered
+        scores = delta[:, None, :] + into  # (N, next, previous): argmax runs along memory
+        back[t] = prev = scores.argmax(axis=2)
+        new = scores[rows[:, None], cols, prev] + log_unary[:, t]  # the max, gathered
         delta = new if t <= done else np.where((t <= last)[:, None], new, delta)
     state, best = delta.argmax(axis=1), delta.max(axis=1)
     path = np.zeros((T, N), dtype=np.int64)

@@ -5,7 +5,10 @@ self-transitions are removed. Inference sums (or maximizes) over segment
 decompositions: a path of segments [s, s+d-1] scores
 initial/transition + duration + emissions, all in log space. The final
 segment must end exactly at the last frame (no right-censoring), which is
-also what the brute-force enumeration oracle computes.
+also what the brute-force enumeration oracle computes. The posterior pass
+runs its forward and backward recursions in one time loop: the backward
+one reads only the emissions (Yu 2010, "Hidden semi-Markov models"). The
+duration counts follow the loop, since they need the log-likelihood.
 """
 
 from __future__ import annotations
@@ -18,6 +21,11 @@ from ..errors import ModelInvalidError, ShapeError
 from . import chain
 from .chain import LOG_EPS, logsumexp
 from .hmm import emission_log_probs, gaussian_m_step, hold_covariances, init_gaussian_hmm
+
+# exp of anything below about -708 is subnormal or 0, and numpy computes it
+# 15-170x slower than in range; e^-700 < 1e-304 cannot move a sum that holds
+# a term of 1, nor a duration count by more than 1e-300
+EXP_FLOOR = -700.0
 
 
 @dataclass
@@ -100,6 +108,8 @@ def hsmm_viterbi_batch(hsmm: Hsmm, sequences) -> tuple[list, np.ndarray]:
     prev_state = np.zeros((N, T + 1, K), dtype=np.int32)
     best_dur = np.zeros((N, T, K), dtype=np.int32)
     best_in[:, 0] = log_pi
+    into = np.ascontiguousarray(log_A.T)  # into[k, j] = log_A[j, k]
+    done = int(lengths.min()) - 1  # from here on some sequences have ended
     rows, cols = np.arange(N)[:, None], np.arange(K)  # gather the entry at an argmax
     for t in range(T):
         starts = slice(max(0, t - D + 1), t + 1)
@@ -108,11 +118,12 @@ def hsmm_viterbi_batch(hsmm: Hsmm, sequences) -> tuple[list, np.ndarray]:
         vals = vals[:, ::-1]  # durations 1, 2, ...: argmax resolves a tie to the shortest
         pick = vals.argmax(axis=1)
         vs = vals[rows, pick, cols]
-        final[t == lengths - 1] = vs[t == lengths - 1]
+        if t >= done:
+            final[t == lengths - 1] = vs[t == lengths - 1]
         best_dur[:, t] = pick + 1
-        scores = vs[:, :, None] + log_A
-        prev_state[:, t + 1] = prev = scores.argmax(axis=1)
-        best_in[:, t + 1] = scores[rows, prev, cols]
+        scores = vs[:, None, :] + into  # (N, next, previous): argmax runs along memory
+        prev_state[:, t + 1] = prev = scores.argmax(axis=2)
+        best_in[:, t + 1] = scores[rows, cols, prev]
 
     paths = []
     for n, length in enumerate(lengths):
@@ -141,47 +152,62 @@ def _posteriors(hsmm: Hsmm, X, lengths):
     D = min(hsmm.d_max, T)
     last = lengths - 1
     # A segment [s, e] scores head[:, s] + log_dur + tail[:, e]: the path up to s
-    # less cumb[:, s], and the rest after e plus cumb[:, e + 1].
-    step = chain.Step(log_A)
+    # less cumb[:, s], and the rest after e plus cumb[:, e + 1]. One time loop runs
+    # both directions: step t sums the segments ending at t into ls[:, t] and those
+    # starting at s = T - 1 - t into after[:, s]. msg[0] holds head and msg[1] tail
+    # reversed in time, so both sums take the window msg[:, :, t - w + 1 : t + 1]
+    # with durations w, ..., 1, where w = min(D, t + 1).
     rev_dur = log_dur[:, D - 1 :: -1].T  # (D, K), row i is duration D - i
-    ls = np.empty((N, T, K))  # a segment of k ends at t
-    head = np.empty((N, T, K))
+    msg = np.empty((2, N, T, K))
+    head, rtail = msg  # rtail[:, t] is tail[:, T - 1 - t]
     head[:, 0] = log_pi
+    ls, after = np.empty((N, T, K)), np.empty((N, T, K))  # log sums by end, by start
+    edge = np.where(np.arange(T)[:, None] == last, 0.0, LOG_EPS)[:, :, None]  # (T, N, 1)
+    work = np.empty((2, N, D, K))
+    step = chain.PairStep(log_A)
+    rest = np.zeros((N, K))  # the backward message into tail[:, s], less cumb[:, s + 1]
     for t in range(T):
-        lo = max(0, t - D + 1)
-        vals = head[:, lo : t + 1] + rev_dur[D - (t + 1 - lo) :] + cumb[:, t + 1, None]
-        ls[:, t] = logsumexp(vals, axis=1)
+        s, lo = T - 1 - t, max(0, t - D + 1)
+        np.add(cumb[:, s + 1], np.where((s < last)[:, None], rest, edge[s]), out=rtail[:, t])
+        win = np.add(msg[:, :, lo : t + 1], rev_dur[D - (t + 1 - lo) :], out=work[:, :, : t + 1 - lo])
+        win[0] += cumb[:, t + 1, None]
+        peak = win.max(axis=2)
+        win -= peak[:, :, None]
+        np.maximum(win, EXP_FLOOR, out=win)
+        lse = np.log(np.exp(win, out=win).sum(axis=2))
+        lse += peak
+        ls[:, t], after[:, s] = lse
         if t + 1 < T:
-            head[:, t + 1] = step(ls[:, t]) - cumb[:, t + 1]
+            lse[1] -= cumb[:, s]
+            head[:, t + 1], rest = step(lse)
+            head[:, t + 1] -= cumb[:, t + 1]
     loglik = logsumexp(ls[np.arange(N), last], axis=1)
 
-    # backward; the posteriors of the segments starting at t add to dur_counts
-    # and to the start posteriors, which overwrite head[:, t] once it is used
-    back = chain.Step(log_A.T)
-    tail = np.empty((N, T, K))
+    # posteriors of the segments starting at s (into after), ending at e (into
+    # cumb) and of each duration; the (N, T, K) tables are the largest arrays of
+    # a fit, so each is reused in place
+    head -= loglik[:, None, None]
+    starts = np.exp(np.add(after, head, out=after), out=after)
+    ends = cumb[:, 1:]
+    np.subtract(ls, ends, out=ends)
+    ends += rtail[:, ::-1]
+    ends -= loglik[:, None, None]
+    np.exp(ends, out=ends)
+    xi = chain.pair_sum(ls, starts, step.fwd)
+    # a segment of duration d that starts at s = T - 1 - u scores
+    # rev_head[:, u] + log_dur + rtail[:, u - d + 1]; seg reuses head's table
+    rev_head = ls
+    rev_head[:] = head[:, ::-1]
+    flat, ones = msg[0].reshape(-1), np.ones(N * T)
     dur_counts = np.zeros((K, hsmm.d_max))
-    starts, rest = head, np.zeros((N, K))
-    for t in range(T - 1, -1, -1):
-        edge = np.where(t == last, 0.0, LOG_EPS)[:, None]  # log 0 past the end
-        tail[:, t] = cumb[:, t + 1] + np.where((t < last)[:, None], rest, edge)
-        n = min(D, T - t)
-        vals = tail[:, t : t + n] + log_dur[:, :n].T
-        m = vals.max(axis=1)
-        w = np.exp(vals - m[:, None])
-        total = w.sum(axis=1)
-        scale = np.exp(m + head[:, t] - loglik[:, None])
-        dur_counts[:, :n] += np.einsum("ndk,nk->kd", w, scale)
-        starts[:, t] = total * scale
-        rest = back(np.log(total) + m - cumb[:, t])
-    # P(k at t) = P(a segment of k started by t) - P(one ended before t); the
-    # (N, T, K) tables are the largest arrays of a fit, so they are reused in place
-    tail += ls
-    tail -= cumb[:, 1:]
-    tail -= loglik[:, None, None]
-    ends = np.exp(tail, out=tail)
-    del cumb
-    xi = chain.pair_sum(ls, starts, step)
+    for d in range(1, D + 1):
+        seg = flat[: N * (T - d + 1) * K].reshape(N, T - d + 1, K)
+        np.add(rev_head[:, d - 1 :], rtail[:, : T - d + 1], out=seg)
+        seg += log_dur[:, d - 1]
+        np.maximum(seg, EXP_FLOOR, out=seg)
+        dur_counts[:, d - 1] = ones[: N * (T - d + 1)] @ np.exp(seg, out=seg).reshape(-1, K)
     rho = starts[:, 0].sum(axis=0)
+    # P(k at t) = P(a segment of k started by t) - P(one ended before t)
     gamma = np.cumsum(starts, axis=1, out=starts)
     gamma[:, 1:] -= np.cumsum(ends, axis=1, out=ends)[:, :-1]
     np.maximum(gamma, 0.0, out=gamma)

@@ -135,6 +135,8 @@ class BiRnn:
         self.b_out = np.asarray(self.b_out, dtype=np.float64)
         if self.w_out.shape[1] != self.fwd.hidden + self.bwd.hidden:
             raise ShapeError("output projection width must be 2H")
+        if self.stride < 1:
+            raise ValueError(f"stride must be >= 1, got {self.stride}")
 
     @property
     def num_labels(self) -> int:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from motionseg.numerics import finite_diff_check, pack_arrays, unpack_arrays
@@ -27,6 +27,7 @@ from motionseg.seqmodels.hmm import (
 from motionseg.seqmodels.hsmm import (
     Hsmm,
     _posteriors as hsmm_batch_posteriors,
+    _segment_scores,
     hsmm_em_fit,
     hsmm_loglik,
     hsmm_posteriors,
@@ -174,6 +175,80 @@ def test_hsmm_batch_matches_enumeration(lengths, seed):
         np.testing.assert_allclose(batched, sum(parts), atol=1e-9)
 
 
+def two_loop_posteriors(hsmm, X, lengths):
+    """The HSMM E-step as it was before one loop carried both directions: a
+    forward loop, then a backward loop that adds up the duration counts."""
+    cumb, log_dur, log_pi, log_A = _segment_scores(hsmm, X, lengths)
+    N, T, K = cumb.shape[0], cumb.shape[1] - 1, cumb.shape[2]
+    D = min(hsmm.d_max, T)
+    last = lengths - 1
+    step = chain.Step(log_A)
+    rev_dur = log_dur[:, D - 1 :: -1].T
+    ls = np.empty((N, T, K))
+    head = np.empty((N, T, K))
+    head[:, 0] = log_pi
+    for t in range(T):
+        lo = max(0, t - D + 1)
+        vals = head[:, lo : t + 1] + rev_dur[D - (t + 1 - lo) :] + cumb[:, t + 1, None]
+        ls[:, t] = lse(vals, axis=1)
+        if t + 1 < T:
+            head[:, t + 1] = step(ls[:, t]) - cumb[:, t + 1]
+    loglik = lse(ls[np.arange(N), last], axis=1)
+    back = chain.Step(log_A.T)
+    tail = np.empty((N, T, K))
+    dur_counts = np.zeros((K, hsmm.d_max))
+    starts, rest = head, np.zeros((N, K))
+    for t in range(T - 1, -1, -1):
+        edge = np.where(t == last, 0.0, chain.LOG_EPS)[:, None]
+        tail[:, t] = cumb[:, t + 1] + np.where((t < last)[:, None], rest, edge)
+        n = min(D, T - t)
+        vals = tail[:, t : t + n] + log_dur[:, :n].T
+        m = vals.max(axis=1)
+        w = np.exp(vals - m[:, None])
+        total = w.sum(axis=1)
+        scale = np.exp(m + head[:, t] - loglik[:, None])
+        dur_counts[:, :n] += np.einsum("ndk,nk->kd", w, scale)
+        starts[:, t] = total * scale
+        rest = back(np.log(total) + m - cumb[:, t])
+    ends = np.exp(tail + ls - cumb[:, 1:] - loglik[:, None, None])
+    xi = chain.pair_sum(ls, starts, step)
+    rho = starts[:, 0].sum(axis=0)
+    gamma = np.cumsum(starts, axis=1)
+    gamma[:, 1:] -= np.cumsum(ends, axis=1)[:, :-1]
+    np.maximum(gamma, 0.0, out=gamma)
+    gamma[~chain.valid(lengths, T)] = 0.0
+    return loglik, gamma, xi, rho, dur_counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(lengths=ragged, K=st.integers(1, 4), d_max=st.integers(1, 15), seed=seeds,
+       scale=st.sampled_from([1.0, 20.0]))
+@example(lengths=[1], K=3, d_max=4, seed=0, scale=1.0)
+@example(lengths=[12, 1, 7], K=4, d_max=15, seed=3, scale=20.0)
+@example(lengths=MANY, K=3, d_max=5, seed=4, scale=20.0)
+def test_hsmm_one_loop_posteriors_match_two_loops(lengths, K, d_max, seed, scale):
+    # d_max reaches past the longest sequence; at scale 20 the emission log
+    # densities lie 400x further apart, and transitions and initial states are
+    # forbidden at random, so messages underflow in both directions. One state
+    # has no transition, so it can only explain a sequence of at most d_max frames.
+    assume(K > 1 or max(lengths) <= d_max)
+    rng = np.random.default_rng(seed)
+    hsmm = random_hsmm(K=K, d=2, d_max=d_max, rng=rng)
+    if K > 2:
+        A = np.where(rng.random((K, K)) < 0.4, 0.0, hsmm.A)
+        A[np.arange(K), (np.arange(K) + 1) % K] += 0.1  # every row keeps an exit
+        np.fill_diagonal(A, 0.0)
+        hsmm.A = A / A.sum(axis=1, keepdims=True)
+    hsmm.pi = np.where(rng.random(K) < 0.3, 0.0, hsmm.pi) + np.eye(K)[0] * 0.1
+    hsmm.pi /= hsmm.pi.sum()
+    hsmm = Hsmm(pi=hsmm.pi, A=hsmm.A, means=hsmm.means * scale, covs=hsmm.covs,
+                lambdas=hsmm.lambdas, d_max=d_max)
+    X, lens = chain.stack([rng.normal(size=(n, 2)) * scale for n in lengths])
+    got, want = hsmm_batch_posteriors(hsmm, X, lens), two_loop_posteriors(hsmm, X, lens)
+    for name, a, b in zip(("loglik", "gamma", "xi", "rho", "dur_counts"), got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10, err_msg=name)
+
+
 def test_hsmm_viterbi_ties_resolve_to_the_shortest_segment():
     # Each frame scores -2**59 under both states, which absorbs every duration,
     # initial and transition term: all segmentations tie exactly. The decode keeps
@@ -233,6 +308,25 @@ def test_step_matches_logsumexp(rows, K, seed, case):
     np.testing.assert_allclose(
         step(x), lse(x[:, :, None] + log_M, axis=1), rtol=1e-12, atol=1e-12
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 6), K=st.integers(2, 5), seed=seeds,
+       case=st.sampled_from(["all reachable", "unreachable column", "underflow"]))
+def test_pair_step_equals_two_steps_bit_for_bit(rows, K, seed, case):
+    rng = np.random.default_rng(seed)
+    x, log_M = rng.normal(size=(2, rows, K)) * 3.0, rng.normal(size=(K, K))
+    if case == "unreachable column":  # the forward Step's live mask
+        log_M[:, rng.integers(K)] = chain.LOG_EPS
+    if case == "underflow":  # only state 0 enters state 0, from far below the rest
+        log_M[1:, 0] = chain.LOG_EPS
+        x[0, :, 0] -= 2000.0
+    pair = chain.PairStep(log_M)
+    m = x.max(axis=2, keepdims=True)
+    shared = np.matmul(np.exp(x - m), pair.M).min() > chain.TINY
+    assert pair.plain == (case != "unreachable column") and shared == (case == "all reachable")
+    expected = np.stack([chain.Step(log_M)(x[0]), chain.Step(log_M.T)(x[1])])
+    np.testing.assert_array_equal(pair(x), expected)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -189,6 +189,18 @@ class TestSerialization:
             load_dataset(manifest)
         assert info.value.path == manifest and info.value.line == target + 1
 
+    def test_duplicate_demo_id_rejected_with_manifest_line(self, tmp_path):
+        manifest = save_dataset(generate_synthetic(default_config(seed=9)), tmp_path / "out")
+        lines = Path(manifest).read_text().splitlines()
+        first, second = [i for i, line in enumerate(lines) if line.startswith("demo =")][:2]
+        parts = lines[second].split("|")
+        parts[1] = lines[first].split("|")[1]
+        lines[second] = "|".join(parts)
+        Path(manifest).write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=f"already used on line {first + 1}") as info:
+            load_dataset(manifest)
+        assert info.value.path == manifest and info.value.line == second + 1
+
     def test_unknown_manifest_key_rejected(self, tmp_path):
         ds = generate_synthetic(default_config(seed=6))
         manifest = save_dataset(ds, tmp_path / "out")

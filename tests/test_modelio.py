@@ -2,11 +2,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionseg.embedding import Encoder, new_encoder
 from motionseg.errors import DataFormatError, ModelInvalidError
 from motionseg.imitation import PoseDecoder, new_pose_decoder
-from motionseg.modelio import MAGIC, _write, load_model, save_model
+from motionseg.modelio import LAYOUTS, MAGIC, _write, load_model, save_model
 from motionseg.numerics import Layer, MlpParams, pack_arrays
 from motionseg.seqmodels.crf import LinearChainCrf, new_crf
 from motionseg.seqmodels.hmm import GaussianHmm
@@ -256,3 +258,57 @@ def test_values_a_model_rejects_name_the_file(tmp_path):
     assert_rejected(tmp_path / "m.model", "bad knn model")
     _write(tmp_path / "m.model", "knn", {"k": 2}, {"points": knn.train_points, "labels": knn.train_labels[:3]})
     assert_rejected(tmp_path / "m.model", "bad knn model")
+
+
+def test_birnn_stride_below_one_rejected(tmp_path):
+    rnn = fixed_models()["birnn"]
+    arrays = {"fw": rnn.fwd.w, "fu": rnn.fwd.u, "fb": rnn.fwd.b, "bw": rnn.bwd.w, "bu": rnn.bwd.u,
+              "bb": rnn.bwd.b, "w_out": rnn.w_out, "b_out": rnn.b_out}
+    _write(tmp_path / "m.model", "birnn", {"stride": 0}, arrays)
+    assert_rejected(tmp_path / "m.model", "stride must be >= 1")
+
+
+@pytest.mark.parametrize("shape", ["(1000000,)", "(100000000000,)", "(3000000000, 3000000000)"])
+def test_array_larger_than_the_file_rejected_before_reading(tmp_path, shape):
+    # the first array's .npy header claims a shape the file cannot hold; the
+    # header keeps its length, the shape taking the place of padding spaces
+    path = tmp_path / "m.model"
+    save_model(fixed_models()["hmm"], path)
+    whole = path.read_bytes()
+    start = whole.index(b"'shape': (3,), }")
+    end = whole.index(b"\n", start)
+    patched = f"'shape': {shape}, }}".encode().ljust(end - start)
+    path.write_bytes(whole[:start] + patched + whole[end:])
+    assert_rejected(path, "runs past the end of the file")
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for kind, model in fixed_models().items():
+        save_model(model, root / f"{kind}.model")
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(LAYOUTS)),
+    # each edit replaces `cut` bytes at `at` (mod the file length) with `put`
+    edits=st.lists(
+        st.tuples(st.integers(0, 1 << 16), st.integers(0, 3), st.binary(max_size=3)),
+        min_size=1, max_size=4,
+    ),
+)
+def test_model_fuzz_fails_only_with_model_errors(fuzz_root, kind, edits):
+    data = bytearray((fuzz_root / f"{kind}.model").read_bytes())
+    for at, cut, put in edits:
+        at %= len(data)
+        data[at : at + cut] = put
+    path = fuzz_root / "fuzzed.model"
+    path.write_bytes(bytes(data))
+    try:
+        load_model(path)
+    except ModelInvalidError:
+        pass
+    except DataFormatError as exc:
+        assert exc.path == str(path)
