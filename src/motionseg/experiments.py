@@ -64,6 +64,7 @@ def fraction_sweep(dataset: Dataset, fractions, config: PipelineConfig, seeds) -
     Returns one record per fraction with per-method mean accuracy over seeds.
     """
     records = []
+    svtcn = {}  # seed -> embed_fn: svTCN reads no labels, so one encoder serves every fraction
     for fraction in fractions:
         accs = {"triplet_rnn_ss": [], "svtcn_rnn": []}
         for seed in seeds:
@@ -76,7 +77,10 @@ def fraction_sweep(dataset: Dataset, fractions, config: PipelineConfig, seeds) -
 
             train, val = train_val_split(dataset, cfg)
             rng = np.random.default_rng([int(seed), 10_007])
-            embed_fn = make_embed_fn("svtcn", train, cfg, seed=int(rng.integers(2**32)))
+            encoder_seed = int(rng.integers(2**32))  # drawn at every fraction: the RNN seed follows it
+            if seed not in svtcn:
+                svtcn[seed] = make_embed_fn("svtcn", train, cfg, seed=encoder_seed)
+            embed_fn = svtcn[seed]
             bundle = train_sequence_model(
                 embed_fn, train, cfg, seed=int(rng.integers(2**32)), kind="rnn"
             )

@@ -10,12 +10,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ModelInvalidError, NumericError, ShapeError
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 NORM_FLOOR = 1e-12  # rows with a smaller L2 norm are treated as zero when normalised
 FD_STEP = 1e-5  # central-difference step of finite_diff_check
+
+
+def check_finite(model: str, **arrays) -> None:
+    """Raise ModelInvalidError naming the first array that holds a NaN or an inf."""
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ModelInvalidError(f"{model} {name} must be finite")
+
+
+def sq_distances(A, B, b_sq_norms=None) -> np.ndarray:
+    """(M, N) squared Euclidean distances ||a||^2 - 2 a.b + ||b||^2 between the
+    rows of A (M, d) and B (N, d), summed into one buffer. b_sq_norms, if given,
+    is np.sum(B**2, axis=1). Negating 2A is exact, so the result is bit for bit
+    np.sum(A**2, axis=1, keepdims=True) - 2.0 * A @ B.T + np.sum(B**2, axis=1)."""
+    out = (-2.0 * A) @ B.T
+    out += np.sum(A**2, axis=1, keepdims=True)
+    out += np.sum(B**2, axis=1) if b_sq_norms is None else b_sq_norms
+    return out
 
 
 @dataclass
@@ -35,6 +53,7 @@ class Layer:
             )
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        check_finite("layer", w=self.w, b=self.b)
 
 
 @dataclass

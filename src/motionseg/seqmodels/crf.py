@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeError
+from ..numerics import check_finite
 from . import chain
 
 
@@ -31,9 +32,8 @@ class LinearChainCrf:
         C, E = self.unary.shape
         if self.projection.shape[0] != E or self.transitions.shape != (C, C):
             raise ShapeError("crf parameter shapes disagree")
-        for arr in (self.projection, self.unary, self.transitions):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("crf weights must be finite")
+        check_finite("crf", projection=self.projection, unary=self.unary,
+                     transitions=self.transitions)
 
     @property
     def num_labels(self) -> int:

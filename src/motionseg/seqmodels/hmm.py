@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ModelInvalidError, ShapeError
+from ..numerics import check_finite, sq_distances
 from . import chain
 from .chain import log_clip, logsumexp  # noqa: F401  (logsumexp is re-exported)
 
@@ -34,6 +35,7 @@ class GaussianHmm:
         K = self.pi.shape[0]
         if self.A.shape != (K, K) or self.means.shape[0] != K or self.covs.shape[0] != K:
             raise ShapeError("hmm parameter shapes disagree")
+        check_finite("hmm", pi=self.pi, A=self.A, means=self.means, covs=self.covs)
         if np.max(np.abs(self.A.sum(axis=1) - 1.0)) > 1e-10:
             raise ModelInvalidError("transition rows must sum to 1 within 1e-10")
         self.covs, self.factors = hold_covariances(self.covs)
@@ -48,12 +50,16 @@ class GaussianHmm:
 
 
 def gaussian_factors(covs) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse Cholesky factors (K, d, d) and log-determinants (K,) of covariances."""
+    """Whitening layout (d, K*d) and log-determinants (K,) of covariances (K, d, d):
+    columns k*d .. k*d + d - 1 hold W_k.T, where W_k is the inverse Cholesky
+    factor of covs[k], so X @ layout whitens the rows of X under every state."""
     try:
         chol = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
         raise ModelInvalidError("covariance is not positive definite") from None
-    return np.linalg.inv(chol), 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    K, d = chol.shape[0], chol.shape[1]
+    whiten = np.linalg.inv(chol).transpose(2, 0, 1).reshape(d, K * d)
+    return whiten, 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
 
 
 def hold_covariances(covs) -> tuple[np.ndarray, tuple]:
@@ -64,16 +70,26 @@ def hold_covariances(covs) -> tuple[np.ndarray, tuple]:
     return covs, gaussian_factors(covs)
 
 
+EMISSION_BLOCK = 1 << 16  # floats of whitened frames, rows x K x d, computed at once
+
+
 def _gaussian_logpdfs(X, means, whiten, logdet) -> np.ndarray:
     """(F, K) log densities of the rows of X under each N(means[k], covs[k]),
-    given the covariances' gaussian_factors."""
+    given the covariances' gaussian_factors: z = X W_k.T - W_k means[k] for all
+    K states from one product per block of frames, then -(|z|^2 + d log 2pi + logdet) / 2."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    d = X.shape[1]
-    out = np.empty((X.shape[0], len(means)))
-    diff, z = np.empty_like(X), np.empty_like(X)  # reused: one (F, d) pair for all states
-    for k, W in enumerate(whiten):
-        np.matmul(np.subtract(X, means[k], out=diff), W.T, out=z)
-        out[:, k] = np.einsum("ij,ij->i", z, z)
+    F, d = X.shape
+    K = len(means)
+    # W_k means[k], per call: the means stay writable, so it cannot be held
+    shift = np.matmul(means[:, None, :], whiten.reshape(d, K, d).transpose(1, 0, 2))[:, 0]
+    rows = max(1, EMISSION_BLOCK // (K * d))
+    out = np.empty((F, K))
+    z = np.empty((min(rows, F), K * d))  # reused by every block
+    for start in range(0, F, rows):
+        block = X[start : start + rows]
+        zb = np.matmul(block, whiten, out=z[: len(block)]).reshape(len(block), K, d)
+        zb -= shift
+        np.einsum("fkj,fkj->fk", zb, zb, out=out[start : start + len(block)])
     out += d * np.log(2.0 * np.pi) + logdet
     return np.multiply(out, -0.5, out=out)
 
@@ -131,12 +147,7 @@ def kmeans_plus_plus(X, K, rng) -> np.ndarray:
             centers[k] = X[int(rng.choice(n, p=closest / total))]
         closest = np.minimum(closest, np.sum((X - centers[k]) ** 2, axis=1))
     for _ in range(10):
-        d2 = (
-            np.sum(X**2, axis=1, keepdims=True)
-            - 2.0 * X @ centers.T
-            + np.sum(centers**2, axis=1)
-        )
-        assign = np.argmin(d2, axis=1)
+        assign = np.argmin(sq_distances(X, centers), axis=1)
         for k in range(K):
             members = X[assign == k]
             if members.shape[0]:

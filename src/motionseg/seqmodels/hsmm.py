@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ModelInvalidError, ShapeError
+from ..numerics import check_finite
 from . import chain
 from .chain import LOG_EPS, logsumexp
 from .hmm import emission_log_probs, gaussian_m_step, hold_covariances, init_gaussian_hmm
@@ -46,6 +47,8 @@ class Hsmm:
         K = self.pi.shape[0]
         if self.A.shape != (K, K) or self.lambdas.shape != (K,):
             raise ShapeError("hsmm parameter shapes disagree")
+        check_finite("hsmm", pi=self.pi, A=self.A, means=self.means, covs=self.covs,
+                     lambdas=self.lambdas)
         if np.max(np.abs(np.diag(self.A))) > 0:
             raise ModelInvalidError("hsmm transitions must have a zero diagonal")
         if K > 1 and np.max(np.abs(self.A.sum(axis=1) - 1.0)) > 1e-10:

@@ -6,52 +6,75 @@ break by smallest summed distance, then smallest label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ShapeError
+from ..numerics import check_finite, sq_distances
 
 
 @dataclass
 class KnnModel:
-    train_points: np.ndarray  # (N, d)
-    train_labels: np.ndarray  # (N,)
+    train_points: np.ndarray  # (N, d), a read-only copy
+    train_labels: np.ndarray  # (N,), a read-only copy
     k: int = 5
+    # np.sum(train_points**2, axis=1), and np.unique(train_labels, return_inverse=True)
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    classes: np.ndarray = field(init=False, repr=False, compare=False)
+    label_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.train_points = np.atleast_2d(np.asarray(self.train_points, dtype=np.float64))
-        self.train_labels = np.asarray(self.train_labels, dtype=np.int64)
+        # copies the model keeps read-only, so the norms and the label index cannot go stale
+        self.train_points = np.array(np.atleast_2d(self.train_points), dtype=np.float64)
+        self.train_labels = np.array(self.train_labels, dtype=np.int64)
         if self.train_points.shape[0] == 0:
             raise ValueError("empty training set")
         if self.train_labels.shape != (self.train_points.shape[0],):
             raise ShapeError("labels must align with training points")
         if not (1 <= self.k <= self.train_points.shape[0]):
             raise ValueError(f"k={self.k} outside 1..{self.train_points.shape[0]}")
+        check_finite("knn", train_points=self.train_points)
+        self.train_points.setflags(write=False)
+        self.train_labels.setflags(write=False)
+        self.sq_norms = np.sum(self.train_points**2, axis=1)
+        self.classes, self.label_index = np.unique(self.train_labels, return_inverse=True)
 
 
-def _vote(distances, labels, k):
-    """Labels and vote fractions for each row of (M, N) query-to-training distances."""
-    rows = np.arange(distances.shape[0])
-    near = np.argpartition(distances, k - 1, axis=1)[:, :k]
-    # argpartition splits ties at the k-th distance arbitrarily: rows with more
-    # points at that distance than places left rank the whole row by index
-    kth = np.take_along_axis(distances, near, axis=1).max(axis=1, keepdims=True)
-    for i in np.nonzero((distances <= kth).sum(axis=1) > k)[0]:
-        near[i] = np.lexsort((np.arange(distances.shape[1]), distances[i]))[:k]
-    order = np.lexsort((near, np.take_along_axis(distances, near, axis=1)), axis=1)
+def _distances(sq):
+    """Euclidean distances from squared ones, which can round below 0."""
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def _vote(sq, model: KnnModel):
+    """Labels and vote fractions for each row of (M, N) query-to-training squared distances."""
+    M, N = sq.shape
+    k = model.k
+    rows = np.arange(M)
+    # sqrt is monotone, so the k + 1 smallest squared distances hold the k nearest
+    # and the next; only their distances are taken
+    cand = np.argpartition(sq, min(k, N - 1), axis=1)[:, : k + 1]
+    cand_d = _distances(np.take_along_axis(sq, cand, axis=1))
+    near, near_d = cand[:, :k], cand_d[:, :k]
+    if k < N:
+        # argpartition splits ties at the k-th distance arbitrarily: rows whose
+        # (k+1)-th nearest is no farther than the k-th rank the whole row by index
+        for i in np.nonzero(cand_d[:, k] <= near_d.max(axis=1))[0]:
+            dist = _distances(sq[i])
+            near[i] = np.lexsort((np.arange(N), dist))[:k]
+            near_d[i] = dist[near[i]]
+    order = np.lexsort((near, near_d), axis=1)
     near = np.take_along_axis(near, order, axis=1)  # nearest first, by (distance, index)
-    near_d = np.take_along_axis(distances, near, axis=1)
-    classes, label_idx = np.unique(labels, return_inverse=True)
-    near_labels = label_idx[near]
-    votes = np.zeros((rows.shape[0], classes.shape[0]), dtype=np.int64)
+    near_d = np.take_along_axis(near_d, order, axis=1)
+    near_labels = model.label_index[near]
+    votes = np.zeros((M, model.classes.shape[0]), dtype=np.int64)
     dist_sum = np.zeros(votes.shape)
     for j in range(k):  # summed nearest-first, as the tie-break defines
         votes[rows, near_labels[:, j]] += 1
         dist_sum[rows, near_labels[:, j]] += near_d[:, j]
     # most votes, then smallest summed distance; the stable sort keeps the smaller label
     pick = np.lexsort((dist_sum, -votes), axis=1)[:, 0]
-    return classes[pick], votes[rows, pick] / k
+    return model.classes[pick], votes[rows, pick] / k
 
 
 def knn_predict(train_points, train_labels, query, k: int) -> int:
@@ -63,10 +86,4 @@ def knn_predict(train_points, train_labels, query, k: int) -> int:
 def knn_predict_batch(model: KnnModel, queries) -> tuple[np.ndarray, np.ndarray]:
     """Labels and vote-fraction confidences for (M, d) query rows."""
     Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    d2 = (
-        np.sum(Q**2, axis=1, keepdims=True)
-        - 2.0 * Q @ model.train_points.T
-        + np.sum(model.train_points**2, axis=1)
-    )
-    distances = np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
-    return _vote(distances, model.train_labels, model.k)
+    return _vote(sq_distances(Q, model.train_points, model.sq_norms), model)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import numerics
 from ..errors import ShapeError
 
 
@@ -28,6 +29,7 @@ class LstmCell:
         self.b = np.asarray(self.b, dtype=np.float64)
         if self.w.shape[0] != self.u.shape[0] or self.w.shape[0] != 4 * self.u.shape[1]:
             raise ShapeError("lstm cell wants w (4H, in), u (4H, H)")
+        numerics.check_finite("lstm cell", w=self.w, u=self.u, b=self.b)
 
     @property
     def hidden(self) -> int:
@@ -137,6 +139,7 @@ class BiRnn:
             raise ShapeError("output projection width must be 2H")
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
+        numerics.check_finite("birnn", w_out=self.w_out, b_out=self.b_out)
 
     @property
     def num_labels(self) -> int:
@@ -257,8 +260,6 @@ def rnn_train(sequences, labels, num_labels: int, config, seed: int) -> tuple[Bi
     config is a pipeline.PipelineConfig; rnn_hidden, stride (the window
     length), rnn_batch, rnn_lr and rnn_epochs set the run.
     """
-    from .. import numerics
-
     wins, wlabs = make_windows(sequences, labels, config.stride)
     if not wins:
         raise ValueError("no training windows")

@@ -1,10 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionseg.errors import ModelInvalidError
 from motionseg.seqmodels.hmm import (
+    EMISSION_BLOCK,
     GaussianHmm,
     _gaussian_logpdfs,
     emission_log_probs,
@@ -222,3 +226,51 @@ def test_held_factors_match_fresh_factorisation_bit_for_bit(build):
     X = rng.normal(size=(9, 2))
     fresh = _gaussian_logpdfs(X, model.means, *gaussian_factors(model.covs.copy()))
     np.testing.assert_array_equal(emission_log_probs(model, X), fresh)
+
+
+def per_state_logpdfs(X, means, covs):
+    """Reference: one Cholesky solve per state, (F, K) log densities."""
+    d = X.shape[1]
+    out = np.empty((X.shape[0], len(means)))
+    for k, (mean, cov) in enumerate(zip(means, covs)):
+        chol = np.linalg.cholesky(cov)
+        z = np.linalg.solve(chol, (X - mean).T)
+        logdet = 2.0 * np.log(np.diag(chol)).sum()
+        out[:, k] = -0.5 * (np.sum(z**2, axis=0) + d * np.log(2.0 * np.pi) + logdet)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.sampled_from([1, 2, 5]),
+    d=st.sampled_from([1, 2, 3]),
+    blocks_plus=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_emissions_match_per_state_loop(K, d, blocks_plus, seed):
+    blocks, plus = blocks_plus  # frames: 1, block - 1, block, block + 1, 3 block + 7
+    F = blocks * (EMISSION_BLOCK // (K * d)) + plus
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(-1.0, 1.0, size=(K, d, d))
+    covs = m @ m.transpose(0, 2, 1) + np.eye(d)  # log-determinant >= 0: no cancellation to 0
+    means = rng.uniform(-3.0, 3.0, size=(K, d))
+    X = rng.uniform(-3.0, 3.0, size=(F, d))
+    got = _gaussian_logpdfs(X, means, *gaussian_factors(covs))
+    np.testing.assert_allclose(got, per_state_logpdfs(X, means, covs), rtol=1e-12, atol=0)
+
+
+def test_emissions_allocate_one_block_not_a_frames_by_states_by_dim_table():
+    K, d, F = 30, 16, 5000
+    rng = np.random.default_rng(4)
+    covs = np.repeat(np.eye(d)[None], K, axis=0)
+    means, X = rng.normal(size=(K, d)), rng.normal(size=(F, d))
+    factors = gaussian_factors(covs)
+    tracemalloc.start()
+    try:
+        out = _gaussian_logpdfs(X, means, *factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output plus two block-sized buffers; an (F, K, d) temporary alone is 19.2 MB
+    assert peak < out.nbytes + 2 * EMISSION_BLOCK * 8
+    assert F * K * d * 8 > 8 * peak

@@ -2,12 +2,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionseg.seqmodels.knn import KnnModel, knn_predict, knn_predict_batch
 
 
-def oracle_knn(train, labels, query, k):
-    """Exhaustive scan with explicit (distance, index) sorting and tie rules."""
+def oracle_vote(train, labels, query, k):
+    """Exhaustive scan with explicit (distance, index) sorting and tie rules:
+    (label, vote fraction)."""
     dists = [(float(np.linalg.norm(t - query)), i) for i, t in enumerate(train)]
     dists.sort()
     near = dists[:k]
@@ -18,7 +21,11 @@ def oracle_knn(train, labels, query, k):
         key = (-votes[lab], dist_sum, lab)
         if best is None or key < best[0]:
             best = (key, lab)
-    return best[1]
+    return best[1], votes[best[1]] / k
+
+
+def oracle_knn(train, labels, query, k):
+    return oracle_vote(train, labels, query, k)[0]
 
 
 def test_exact_training_point_with_k1():
@@ -114,3 +121,42 @@ def test_equal_distance_multisets_tie_on_label():
     pred, conf = knn_predict_batch(KnnModel(train, labels, k=6), np.zeros((1, 1)))
     assert pred[0] == oracle_knn(train, labels, np.zeros(1), 6) == 1
     assert conf[0] == 0.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda d: st.tuples(
+        st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=1, max_size=10),
+        st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=1, max_size=6),
+    )),
+    st.lists(st.integers(1, 3), min_size=10, max_size=10),
+    st.lists(st.integers(1, 4), min_size=30, max_size=30),
+    st.data(),
+)
+def test_batch_matches_full_row_ranking_oracle_with_exact_ties(points, copies, label_pool, data):
+    # integer grid points, each repeated: squared distances are exact, so many
+    # neighbours tie on the k-th distance
+    distinct, queries = (np.array(a, dtype=float) for a in points)
+    train = np.repeat(distinct, copies[: len(distinct)], axis=0)
+    labels = np.array(label_pool[: train.shape[0]])
+    k = data.draw(st.one_of(st.just(1), st.just(train.shape[0]), st.integers(1, train.shape[0])))
+    pred, conf = knn_predict_batch(KnnModel(train, labels, k=k), queries)
+    expected = [oracle_vote(train, labels, q, k) for q in queries]
+    np.testing.assert_array_equal(pred, [lab for lab, _ in expected])
+    np.testing.assert_array_equal(conf, [c for _, c in expected])
+
+
+def test_held_norms_and_label_index_match_a_fresh_computation():
+    rng = np.random.default_rng(5)
+    points, labels = rng.normal(size=(20, 3)), rng.integers(1, 6, size=20)
+    model = KnnModel(points, labels, k=3)
+    np.testing.assert_array_equal(model.sq_norms, np.sum(model.train_points**2, axis=1))
+    classes, label_index = np.unique(model.train_labels, return_inverse=True)
+    np.testing.assert_array_equal(model.classes, classes)
+    np.testing.assert_array_equal(model.label_index, label_index)
+    for held in (model.train_points, model.train_labels):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 0
+    points[0, 0] = 9.0  # the caller's arrays stay writable and apart from the model
+    labels[0] = 9
+    assert model.train_points[0, 0] != 9.0 and model.train_labels[0] != 9

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from motionseg.embedding import Encoder, new_encoder
 from motionseg.errors import DataFormatError, ModelInvalidError
 from motionseg.imitation import PoseDecoder, new_pose_decoder
-from motionseg.modelio import LAYOUTS, MAGIC, _write, load_model, save_model
+from motionseg.modelio import LAYOUTS, MAGIC, _read, _write, load_model, save_model
 from motionseg.numerics import Layer, MlpParams, pack_arrays
 from motionseg.seqmodels.crf import LinearChainCrf, new_crf
 from motionseg.seqmodels.hmm import GaussianHmm
@@ -180,6 +181,48 @@ def test_saved_file_bytes_are_pinned(tmp_path, kind):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[kind]
     save_model(back, tmp_path / "again.model")
     assert (tmp_path / "again.model").read_bytes() == path.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# non-finite parameters fail when a model is built, naming the parameter
+
+# (name in the message, one fixed instance, its float parameters) per class
+# that a saved kind builds: MLP kinds through Layer, birnn through LstmCell
+FINITE_CHECKS = {
+    "Layer": lambda m: ("layer", m["encoder"].mlp.layers[0], ("w", "b")),
+    "LstmCell": lambda m: ("lstm cell", m["birnn"].fwd, ("w", "u", "b")),
+    "BiRnn": lambda m: ("birnn", m["birnn"], ("w_out", "b_out")),
+    "GaussianHmm": lambda m: ("hmm", m["hmm"], ("pi", "A", "means", "covs")),
+    "Hsmm": lambda m: ("hsmm", m["hsmm"], ("pi", "A", "means", "covs", "lambdas")),
+    "LinearChainCrf": lambda m: ("crf", m["crf"], ("projection", "unary", "transitions")),
+    "KnnModel": lambda m: ("knn", m["knn"], ("train_points",)),
+}
+
+
+@pytest.mark.parametrize("cls", sorted(FINITE_CHECKS))
+def test_non_finite_parameter_rejected_at_build(cls):
+    name, model, params = FINITE_CHECKS[cls](fixed_models())
+    for param in params:
+        for bad_value in (np.nan, np.inf, -np.inf):
+            bad = np.array(getattr(model, param), dtype=np.float64)
+            bad.flat[-1] = bad_value
+            with pytest.raises(ModelInvalidError, match=f"^{name} {param} must be finite$"):
+                dataclasses.replace(model, **{param: bad})
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_SHA256))
+def test_saved_non_finite_parameter_rejected_at_load(tmp_path, kind):
+    path = tmp_path / "m.model"
+    save_model(fixed_models()[kind], path)
+    _, meta, arrays = _read(path)
+    for name, arr in arrays.items():
+        if arr.dtype.kind != "f":
+            continue  # knn labels
+        bad = arr.copy()
+        bad.flat[0] = np.nan
+        _write(path, kind, meta, {**arrays, name: bad})
+        with pytest.raises(ModelInvalidError, match="must be finite"):
+            load_model(path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from motionseg import pipeline
+from motionseg import experiments, pipeline
 from motionseg.data import SyntheticConfig, generate_synthetic, mask_labels, split_leave_one_out
 from motionseg.embedding import encode_array
 from motionseg.errors import DegenerateDatasetError, UnfittedModelError
@@ -303,3 +303,22 @@ def test_no_labeled_training_demo_rejected(kind):
         demo.hidden_labels, demo.labels = demo.labels, None
     with pytest.raises(DegenerateDatasetError, match=f"{kind} needs labeled demos"):
         train_sequence_model(lambda F: F, ds, small_config(), seed=0, kind=kind)
+
+
+class TestFractionSweep:
+    def test_svtcn_encoder_trains_once_per_seed_with_unchanged_results(self, monkeypatch):
+        ds = make_dataset(seed=2)
+        config = small_config(rounds=1, embed_epochs=2, rnn_epochs=2)
+        calls = []
+        train_once = experiments.pretrain_encoder
+
+        def counting(dataset, cfg, seed=None):
+            calls.append((cfg.loss_mode, cfg.labeled_fraction, seed))
+            return train_once(dataset, cfg, seed)
+
+        monkeypatch.setattr(experiments, "pretrain_encoder", counting)
+        records = experiments.fraction_sweep(ds, [0.5, 1.0], config, seeds=(0, 1))
+        svtcn = [c for c in calls if c[0] == "svtcn"]
+        assert [c[1] for c in svtcn] == [0.5, 0.5] and len({c[2] for c in svtcn}) == 2
+        # a sweep of 1.0 alone trains its own svTCN encoders and gives the same record
+        assert experiments.fraction_sweep(ds, [1.0], config, seeds=(0, 1)) == records[1:]
