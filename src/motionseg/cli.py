@@ -26,6 +26,7 @@ from .data import (
     generate_synthetic,
     load_dataset,
     save_dataset,
+    write_csv,
 )
 from .embedding import Encoder, encode_array, pca2d
 from .errors import ConfigError, DataFormatError, MotionsegError
@@ -129,14 +130,6 @@ def _section_of(cls):
 def echo_config(obj) -> list[str]:
     fields = sorted(dataclasses.fields(obj), key=lambda f: f.name)
     return [f"{f.name} = {getattr(obj, f.name)}" for f in fields]
-
-
-def write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [_fmt(v) if isinstance(v, float) else str(v) for v in row]
-            fh.write(",".join(cells) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,15 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def write_csv(path, header, rows):
+    """A CSV file of header and rows; floats are written with repr, so they read back exactly."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = [_fmt(v) if isinstance(v, float) else str(v) for v in row]
+            fh.write(",".join(cells) + "\n")
+
+
 def save_dataset(dataset: Dataset, out_dir) -> str:
     """Write manifest + per-demo CSVs under out_dir; returns the manifest path."""
     out_dir = os.fspath(out_dir)
@@ -246,19 +255,14 @@ def save_dataset(dataset: Dataset, out_dir) -> str:
 
 
 def _write_demo_csv(path, demo: Demonstration):
-    F = demo.feature_width
     cols = ["frame_index", "label"]
+    values = demo.features
     if demo.poses is not None:
         cols += [f"pose_{k}" for k in range(POSE_DIM)]
-    cols += [f"f_{k}" for k in range(F)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for t in range(demo.num_frames):
-            row = [str(t), str(int(demo.labels[t])) if demo.labels is not None else "-1"]
-            if demo.poses is not None:
-                row += [_fmt(v) for v in demo.poses[t]]
-            row += [_fmt(v) for v in demo.features[t]]
-            fh.write(",".join(row) + "\n")
+        values = np.hstack([demo.poses, values])
+    cols += [f"f_{k}" for k in range(demo.feature_width)]
+    labels = demo.labels.tolist() if demo.labels is not None else [-1] * demo.num_frames
+    write_csv(path, cols, ([t, lab, *row.tolist()] for t, (lab, row) in enumerate(zip(labels, values))))
 
 
 def load_dataset(manifest_path) -> Dataset:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import DegenerateBatchError, DegenerateDatasetError, ShapeError
+from .errors import DegenerateBatchError, DegenerateDatasetError, ShapeError, UnfittedModelError
 from .numerics import (
     MlpParams,
     init_mlp,
@@ -175,23 +175,23 @@ def sample_triplets_time_contrastive(
     """Window-based triples within one demonstration of the given length.
 
     Positives land within +-pos_window of the anchor, negatives strictly
-    outside +-neg_window; anchors that admit no negative are excluded.
+    outside +-neg_window; anchors that admit no negative are excluded. Ranks
+    drawn among the ascending candidates use the generator as ``rng.choice``
+    on the anchor, positive and negative candidate lists would.
     """
     if length <= 2 * neg_window:
         raise DegenerateBatchError(
             f"sequence length {length} too short for neg_window {neg_window}"
         )
     anchors = [t for t in range(length) if t > neg_window or t < length - 1 - neg_window]
-    anchors = np.asarray(anchors)
     triplets = []
     for _ in range(n_triplets):
-        t = int(rng.choice(anchors))
+        t = anchors[rng.integers(0, len(anchors))]
         lo, hi = max(0, t - pos_window), min(length - 1, t + pos_window)
-        pos_candidates = [s for s in range(lo, hi + 1) if s != t]
-        left = list(range(0, t - neg_window))
-        right = list(range(t + neg_window + 1, length))
-        neg_candidates = left + right
-        triplets.append((t, int(rng.choice(pos_candidates)), int(rng.choice(neg_candidates))))
+        left = max(0, t - neg_window)  # negatives 0 .. left - 1, then t + neg_window + 1 ..
+        kp, kn = [int(rng.integers(0, n)) for n in (hi - lo, left + max(0, length - 1 - t - neg_window))]
+        pos = lo + kp + (lo + kp >= t)  # skip the anchor itself
+        triplets.append((t, pos, kn if kn < left else kn - left + t + neg_window + 1))
     return triplets
 
 
@@ -261,11 +261,11 @@ def train_embedding(dataset, config, seed: int, pseudo_labels=()):
         raise DegenerateDatasetError("no demo long enough for time-contrastive sampling")
 
     trace = []
-    steps_per_epoch = (
-        max(1, (len(pool) + config.batch_size - 1) // config.batch_size)
-        if supervised
-        else max(1, (dataset.num_frames + config.batch_size - 1) // config.batch_size)
-    )
+    frames = len(pool) if supervised else dataset.num_frames
+    steps_per_epoch = max(1, -(-frames // config.batch_size))
+    # each term's share of a step; a triplet_tcn step whose chunk forms no
+    # triplets still takes half its time-contrastive term
+    weight = 0.5 if loss_mode == "triplet_tcn" else 1.0
     for _ in range(int(epochs)):
         order = rng.permutation(len(pool)) if supervised else None
         for step in range(steps_per_epoch):
@@ -280,15 +280,10 @@ def train_embedding(dataset, config, seed: int, pseudo_labels=()):
                 parts.append(_tcn_step(tcn_demos, config, rng, encoder))
             if not parts:
                 continue
-            weight = 0.5 if loss_mode == "triplet_tcn" else 1.0
-            total_loss = 0.0
-            grad = None  # weighted sum of the terms' gradients, laid out like mlp.flat
-            for loss, g in parts:
-                total_loss += weight * loss
-                g *= weight
-                grad = g if grad is None else grad + g
-            numerics.optimizer_step(params, [grad], opt)
-            trace.append(total_loss)
+            # the weighted gradients, scaled in place and summed, laid out like mlp.flat
+            grads = [np.multiply(g, weight, out=g) for _, g in parts]
+            numerics.optimizer_step(params, [sum(grads[1:], grads[0])], opt)
+            trace.append(sum(weight * loss for loss, _ in parts))
     encoder.trained = epochs > 0
     return encoder, trace
 
@@ -333,12 +328,10 @@ def _tcn_step(tcn_demos, config, rng, encoder):
     triplets = sample_triplets_time_contrastive(
         demo.num_frames, config.pos_window, config.neg_window, rng, config.batch_size
     )
-    used = sorted({i for tri in triplets for i in tri})
-    remap = {orig: k for k, orig in enumerate(used)}
-    tri_local = [(remap[a], remap[p], remap[n]) for a, p, n in triplets]
-    X = demo.features[used]
+    used, tri_local = np.unique(triplets, return_inverse=True)  # frames in order, local triples
     return _forward_loss_backward(
-        encoder, X, lambda E: triplet_loss_batch(E, tri_local, config.margin)
+        encoder, demo.features[used],
+        lambda E: triplet_loss_batch(E, tri_local.reshape(-1, 3), config.margin),
     )
 
 
@@ -361,21 +354,6 @@ class IncrementalPca:
         self.components_ = None
         self.singular_values_ = None
         self.n_seen_ = 0
-        self._col_ssd = None  # per-column sum of squared deviations from the mean
-
-    @property
-    def explained_variance_ratio_(self):
-        if self.components_ is None:
-            raise self._unfitted()
-        total = float(np.sum(self._col_ssd))
-        if total <= 0:
-            return np.zeros(len(self.singular_values_))
-        return self.singular_values_**2 / total
-
-    def _unfitted(self):
-        from .errors import UnfittedModelError
-
-        return UnfittedModelError("transform called before any partial_fit")
 
     def partial_fit(self, X) -> "IncrementalPca":
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -386,9 +364,7 @@ class IncrementalPca:
                     f"first batch needs >= {self.n_components} rows, got {n_new}"
                 )
             self.mean_ = X.mean(axis=0)
-            centered = X - self.mean_
-            self._col_ssd = np.sum(centered**2, axis=0)
-            stack = centered
+            stack = X - self.mean_
             self.n_seen_ = n_new
         else:
             if X.shape[1] != self.mean_.shape[0]:
@@ -396,11 +372,6 @@ class IncrementalPca:
             n_total = self.n_seen_ + n_new
             batch_mean = X.mean(axis=0)
             centered = X - batch_mean
-            self._col_ssd = (
-                self._col_ssd
-                + np.sum(centered**2, axis=0)
-                + (self.n_seen_ * n_new / n_total) * (self.mean_ - batch_mean) ** 2
-            )
             correction = np.sqrt(self.n_seen_ * n_new / n_total) * (self.mean_ - batch_mean)
             stack = np.vstack(
                 [self.singular_values_[:, None] * self.components_, centered, correction[None, :]]
@@ -419,7 +390,7 @@ class IncrementalPca:
 
     def transform(self, X) -> np.ndarray:
         if self.components_ is None:
-            raise self._unfitted()
+            raise UnfittedModelError("transform called before any partial_fit")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         return (X - self.mean_) @ self.components_.T
 

@@ -28,17 +28,9 @@ class GaussianHmm:
     factors: tuple = field(init=False, repr=False, compare=False)  # gaussian_factors(covs)
 
     def __post_init__(self):
-        self.pi = np.asarray(self.pi, dtype=np.float64)
-        self.A = np.asarray(self.A, dtype=np.float64)
-        self.means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        self.covs = np.asarray(self.covs, dtype=np.float64)
-        K = self.pi.shape[0]
-        if self.A.shape != (K, K) or self.means.shape[0] != K or self.covs.shape[0] != K:
-            raise ShapeError("hmm parameter shapes disagree")
-        check_finite("hmm", pi=self.pi, A=self.A, means=self.means, covs=self.covs)
+        hold_gaussian_states(self, "hmm")
         if np.max(np.abs(self.A.sum(axis=1) - 1.0)) > 1e-10:
             raise ModelInvalidError("transition rows must sum to 1 within 1e-10")
-        self.covs, self.factors = hold_covariances(self.covs)
 
     @property
     def n_states(self) -> int:
@@ -62,12 +54,21 @@ def gaussian_factors(covs) -> tuple[np.ndarray, np.ndarray]:
     return whiten, 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
 
 
-def hold_covariances(covs) -> tuple[np.ndarray, tuple]:
-    """A read-only copy of covs and its gaussian_factors, for a model to keep:
-    an in-place write then raises instead of leaving the factors stale."""
-    covs = np.array(covs, dtype=np.float64)
-    covs.setflags(write=False)
-    return covs, gaussian_factors(covs)
+def hold_gaussian_states(model, name: str, **finite) -> None:
+    """Coerce the pi, A, means and covs of a Gaussian-state model (HMM or HSMM) to
+    float64; check that they are (K,), (K, K), (K, d) and (K, d, d) and finite,
+    with the arrays in finite; then hold a read-only copy of covs and its
+    gaussian_factors: an in-place write raises instead of leaving them stale."""
+    model.pi, model.A = np.asarray(model.pi, dtype=np.float64), np.asarray(model.A, dtype=np.float64)
+    model.means = np.atleast_2d(np.asarray(model.means, dtype=np.float64))
+    model.covs = np.array(model.covs, dtype=np.float64)
+    K, d = model.pi.shape[0], model.means.shape[1]
+    shapes = (model.pi.shape, model.A.shape, model.means.shape, model.covs.shape)
+    if shapes != ((K,), (K, K), (K, d), (K, d, d)):
+        raise ShapeError(f"{name} parameter shapes disagree")
+    check_finite(name, pi=model.pi, A=model.A, means=model.means, covs=model.covs, **finite)
+    model.covs.setflags(write=False)
+    model.factors = gaussian_factors(model.covs)
 
 
 EMISSION_BLOCK = 1 << 16  # floats of whitened frames, rows x K x d, computed at once

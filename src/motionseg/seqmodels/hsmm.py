@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ModelInvalidError, ShapeError
-from ..numerics import check_finite
 from . import chain
 from .chain import LOG_EPS, logsumexp
-from .hmm import emission_log_probs, gaussian_m_step, hold_covariances, init_gaussian_hmm
+from .hmm import emission_log_probs, gaussian_m_step, hold_gaussian_states, init_gaussian_hmm
 
 # exp of anything below about -708 is subnormal or 0, and numpy computes it
 # 15-170x slower than in range; e^-700 < 1e-304 cannot move a sum that holds
@@ -40,22 +39,16 @@ class Hsmm:
     factors: tuple = field(init=False, repr=False, compare=False)  # gaussian_factors(covs)
 
     def __post_init__(self):
-        self.pi = np.asarray(self.pi, dtype=np.float64)
-        self.A = np.asarray(self.A, dtype=np.float64)
-        self.means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
         self.lambdas = np.asarray(self.lambdas, dtype=np.float64)
-        K = self.pi.shape[0]
-        if self.A.shape != (K, K) or self.lambdas.shape != (K,):
+        hold_gaussian_states(self, "hsmm", lambdas=self.lambdas)
+        if self.lambdas.shape != self.pi.shape:
             raise ShapeError("hsmm parameter shapes disagree")
-        check_finite("hsmm", pi=self.pi, A=self.A, means=self.means, covs=self.covs,
-                     lambdas=self.lambdas)
         if np.max(np.abs(np.diag(self.A))) > 0:
             raise ModelInvalidError("hsmm transitions must have a zero diagonal")
-        if K > 1 and np.max(np.abs(self.A.sum(axis=1) - 1.0)) > 1e-10:
+        if self.n_states > 1 and np.max(np.abs(self.A.sum(axis=1) - 1.0)) > 1e-10:
             raise ModelInvalidError("transition rows must sum to 1 within 1e-10")
         if self.d_max < 1:
             raise ValueError("d_max must be >= 1")
-        self.covs, self.factors = hold_covariances(self.covs)
 
     @property
     def n_states(self) -> int:

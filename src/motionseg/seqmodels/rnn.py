@@ -15,6 +15,7 @@ import numpy as np
 
 from .. import numerics
 from ..errors import ShapeError
+from . import chain
 
 
 @dataclass
@@ -27,8 +28,9 @@ class LstmCell:
         self.w = np.asarray(self.w, dtype=np.float64)
         self.u = np.asarray(self.u, dtype=np.float64)
         self.b = np.asarray(self.b, dtype=np.float64)
-        if self.w.shape[0] != self.u.shape[0] or self.w.shape[0] != 4 * self.u.shape[1]:
-            raise ShapeError("lstm cell wants w (4H, in), u (4H, H)")
+        H = self.u.shape[-1]
+        if self.w.ndim != 2 or len(self.w) != 4 * H or self.u.shape != (4 * H, H) or self.b.shape != (4 * H,):
+            raise ShapeError("lstm cell wants w (4H, in), u (4H, H), b (4H,)")
         numerics.check_finite("lstm cell", w=self.w, u=self.u, b=self.b)
 
     @property
@@ -135,8 +137,12 @@ class BiRnn:
     def __post_init__(self):
         self.w_out = np.asarray(self.w_out, dtype=np.float64)
         self.b_out = np.asarray(self.b_out, dtype=np.float64)
-        if self.w_out.shape[1] != self.fwd.hidden + self.bwd.hidden:
+        if self.bwd.w.shape[1] != self.fwd.w.shape[1]:
+            raise ShapeError("both cells must take inputs of one width")
+        if self.w_out.ndim != 2 or self.w_out.shape[1] != self.fwd.hidden + self.bwd.hidden:
             raise ShapeError("output projection width must be 2H")
+        if self.b_out.shape != self.w_out.shape[:1]:
+            raise ShapeError("output bias must be (C,)")
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         numerics.check_finite("birnn", w_out=self.w_out, b_out=self.b_out)
@@ -164,12 +170,9 @@ def new_birnn(input_dim: int, num_labels: int, hidden: int, stride: int, seed: i
 
 def _reverse_within_lengths(X, lengths):
     """Xr[b, t] = X[b, len_b - 1 - t] for t < len_b, zero on padding."""
-    B, T = X.shape[0], X.shape[1]
-    ar = np.arange(T)
-    idx = np.maximum(lengths[:, None] - 1 - ar[None, :], 0)
-    mask = ar[None, :] < lengths[:, None]
-    out = X[np.arange(B)[:, None], idx]
-    return out * mask[..., None], idx, mask
+    mask = chain.valid(lengths, X.shape[1])
+    idx = np.maximum(lengths[:, None] - 1 - np.arange(X.shape[1]), 0)
+    return X[np.arange(X.shape[0])[:, None], idx] * mask[..., None], idx, mask
 
 
 def birnn_forward(rnn: BiRnn, X, lengths):
@@ -240,17 +243,13 @@ def make_windows(sequences, labels, stride: int):
 
 
 def _pad_batch(wins, wlabs):
-    B = len(wins)
-    T = max(w.shape[0] for w in wins)
-    d = wins[0].shape[1]
-    X = np.zeros((B, T, d))
-    y = np.ones((B, T), dtype=np.int64)
-    lengths = np.empty(B, dtype=np.int64)
-    for i, (w, lab) in enumerate(zip(wins, wlabs)):
-        X[i, : w.shape[0]] = w
-        y[i, : lab.shape[0]] = lab
-        lengths[i] = w.shape[0]
-    mask = np.arange(T)[None, :] < lengths[:, None]
+    """Windows zero-padded to (B, T, d), labels (B, T) padded with label 1, which
+    the mask (B, T) drops from the loss and the gradient, and lengths (B,)."""
+    flat, lengths = chain.stack(wins)
+    X = chain.pad(flat, lengths)
+    mask = chain.valid(lengths, X.shape[1])
+    y = np.ones(mask.shape, dtype=np.int64)
+    y[mask] = np.concatenate(wlabs)
     return X, y, lengths, mask
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motionseg.errors import ModelInvalidError
+from motionseg.errors import ModelInvalidError, ShapeError
 from motionseg.seqmodels.hmm import (
     EMISSION_BLOCK,
     GaussianHmm,
@@ -206,6 +206,21 @@ def test_non_positive_definite_covariance_rejected_at_build(build):
     covs = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])  # eigenvalues 3, -1
     with pytest.raises(ModelInvalidError, match="not positive definite"):
         build(covs)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GaussianHmm(pi=[0.5, 0.5], A=[[0.9, 0.1], [0.2, 0.8]], means=MEANS2,
+                            covs=np.stack([np.eye(3)] * 2)),
+        lambda: Hsmm(pi=[0.5, 0.5], A=[[0.0, 1.0], [1.0, 0.0]], means=np.zeros((3, 3)),
+                     covs=np.stack([np.eye(3)] * 2), lambdas=[2.0, 3.0], d_max=4),
+    ],
+    ids=["hmm_means_d2_covs_d3", "hsmm_means_of_3_states_covs_of_2"],
+)
+def test_means_and_covariances_of_mismatched_shapes_rejected_at_build(build):
+    with pytest.raises(ShapeError, match="parameter shapes disagree"):
+        build()
 
 
 @gaussian_models

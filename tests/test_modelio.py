@@ -311,6 +311,20 @@ def test_birnn_stride_below_one_rejected(tmp_path):
     assert_rejected(tmp_path / "m.model", "stride must be >= 1")
 
 
+@pytest.mark.parametrize("kind, name, array, match", [
+    ("hmm", "covs", np.stack([np.eye(3)] * 3), "shapes disagree"),  # the means are (3, 2)
+    ("hsmm", "means", np.zeros((3, 3)), "shapes disagree"),  # the model has 2 states
+    ("birnn", "b_out", np.zeros(1), "output bias"),  # 4 labels
+    ("birnn", "fb", np.zeros(7), "b \\(4H,\\)"),  # the cell's H is 2
+], ids=["hmm-covs", "hsmm-means", "birnn-b_out", "birnn-fb"])
+def test_saved_arrays_of_mismatched_shapes_rejected(tmp_path, kind, name, array, match):
+    path = tmp_path / "m.model"
+    save_model(fixed_models()[kind], path)
+    _, meta, arrays = _read(path)
+    _write(path, kind, meta, {**arrays, name: array})
+    assert_rejected(path, f"bad {kind} model: .*{match}")
+
+
 @pytest.mark.parametrize("shape", ["(1000000,)", "(100000000000,)", "(3000000000, 3000000000)"])
 def test_array_larger_than_the_file_rejected_before_reading(tmp_path, shape):
     # the first array's .npy header claims a shape the file cannot hold; the

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionseg.errors import ShapeError
 from motionseg.numerics import finite_diff_check, pack_arrays, unpack_arrays
@@ -7,6 +9,7 @@ from motionseg.pipeline import PipelineConfig
 from motionseg.seqmodels.rnn import (
     BiRnn,
     LstmCell,
+    _pad_batch,
     birnn_backward,
     birnn_forward,
     cross_entropy_and_grad,
@@ -188,3 +191,49 @@ def test_feature_width_mismatch_raises_shape_error():
         birnn_forward(rnn, np.zeros((1, 5, 3)), np.array([5]))
     with pytest.raises(ShapeError):
         rnn_predict_sequence(rnn, np.zeros((9, 3)))
+
+
+def loop_padded_batch(wins, wlabs):
+    """Reference padding: one window at a time into zeros (features) and ones (labels)."""
+    T = max(w.shape[0] for w in wins)
+    X = np.zeros((len(wins), T, wins[0].shape[1]))
+    y = np.ones((len(wins), T), dtype=np.int64)
+    lengths = np.empty(len(wins), dtype=np.int64)
+    for i, (w, lab) in enumerate(zip(wins, wlabs)):
+        X[i, : w.shape[0]] = w
+        y[i, : lab.shape[0]] = lab
+        lengths[i] = w.shape[0]
+    return X, y, lengths, np.arange(T)[None, :] < lengths[:, None]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=9), width=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_pad_batch_matches_loop_padding(lengths, width, seed):
+    rng = np.random.default_rng(seed)
+    wins = [rng.normal(size=(n, width)) for n in lengths]
+    wlabs = [rng.integers(1, 6, size=n) for n in lengths]
+    for got, want in zip(_pad_batch(wins, wlabs), loop_padded_batch(wins, wlabs)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_lstm_cell_bias_of_wrong_shape_rejected():
+    cell = new_birnn(input_dim=2, num_labels=3, hidden=3, stride=4, seed=0).fwd
+    for b in (cell.b[:-1], np.zeros((1,)), cell.b.reshape(4, 3)):
+        with pytest.raises(ShapeError, match="b \\(4H,\\)"):
+            LstmCell(cell.w, cell.u, b)
+
+
+def test_birnn_output_bias_of_wrong_shape_rejected():
+    rnn = new_birnn(input_dim=2, num_labels=3, hidden=3, stride=4, seed=0)
+    for b_out in (np.zeros(1), np.zeros(4), np.zeros((3, 1))):
+        with pytest.raises(ShapeError, match="output bias"):
+            BiRnn(rnn.fwd, rnn.bwd, rnn.w_out, b_out, stride=4)
+
+
+def test_birnn_cells_of_different_input_widths_rejected():
+    rnn = new_birnn(input_dim=2, num_labels=3, hidden=3, stride=4, seed=0)
+    wide = new_birnn(input_dim=5, num_labels=3, hidden=3, stride=4, seed=0).bwd
+    with pytest.raises(ShapeError, match="one width"):
+        BiRnn(rnn.fwd, wide, rnn.w_out, rnn.b_out, stride=4)
