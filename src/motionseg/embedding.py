@@ -35,7 +35,7 @@ class Encoder:
         return self.mlp.out_dim
 
 
-def new_encoder(feature_width: int, dim: int = 32, hidden=(256, 64), seed=0) -> Encoder:
+def new_encoder(feature_width: int, dim: int, hidden, seed) -> Encoder:
     sizes = [feature_width, *hidden, dim]
     return Encoder(mlp=init_mlp(sizes, rng=np.random.default_rng(seed)))
 

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import tokenize
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -85,21 +86,23 @@ def _read(path):
             arrays = {name: _load_array(fh, size) for name in names}
         # truncated, or not .npy records; numpy's fallback parser for old .npy
         # headers raises TokenError on some damaged ones
-        except (ValueError, EOFError, tokenize.TokenError) as exc:
+        except (ValueError, EOFError, tokenize.TokenError, Warning) as exc:
             raise bad(f"{kind} arrays unreadable: {exc}") from None
     return kind, {field: typ(meta[field]) for field, typ in types.items()}, arrays
 
 
 def _load_array(fh, size):
-    """The .npy record at fh's position in a size-byte file. Its header must
-    declare a numeric array that fits in the bytes left, so a damaged shape
-    cannot ask for more memory than the file holds."""
+    """The .npy record at fh's position in a size-byte file. Its header must be
+    a Python 3 literal and declare a numeric array that fits in the bytes left,
+    so a damaged shape cannot ask for more memory than the file holds."""
     start = fh.tell()
     version = npy.read_magic(fh)
     if version not in ((1, 0), (2, 0)):
         raise ValueError(f"unsupported .npy version {version}")
     read_header = npy.read_array_header_1_0 if version == (1, 0) else npy.read_array_header_2_0
-    shape, _, dtype = read_header(fh)
+    with warnings.catch_warnings():  # numpy warns on a header it parses only as Python 2
+        warnings.simplefilter("error")
+        shape, _, dtype = read_header(fh)
     if dtype.kind not in "biuf":
         raise ValueError(f"array of dtype {dtype} is not numeric")
     if math.prod(shape) * dtype.itemsize > size - fh.tell():

@@ -196,7 +196,7 @@ class OptimizerState:
     step: int = 0
 
 
-def make_optimizer(params, lr=1e-3) -> OptimizerState:
+def make_optimizer(params, lr) -> OptimizerState:
     return OptimizerState(lr, [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
 
 

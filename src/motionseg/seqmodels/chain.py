@@ -38,10 +38,11 @@ def stack(sequences):
 
 
 def pad(flat, lengths):
-    """Rows of flat, sequence after sequence, scattered into zero-padded (N, T, ...)."""
+    """Rows of flat, sequence after sequence, copied into zero-padded (N, T, ...)."""
     check_lengths(lengths)
     out = np.zeros((len(lengths), int(np.max(lengths))) + flat.shape[1:])
-    out[valid(lengths, out.shape[1])] = flat
+    for row, n, start in zip(out, lengths, np.cumsum(lengths) - lengths):
+        row[:n] = flat[start : start + n]
     return out
 
 

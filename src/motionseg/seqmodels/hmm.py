@@ -134,8 +134,7 @@ def hmm_viterbi(hmm: GaussianHmm, X) -> tuple[np.ndarray, float]:
 
 
 def kmeans_plus_plus(X, K, rng) -> np.ndarray:
-    """k-means++ seeding followed by ten Lloyd refinements."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    """k-means++ seeding of frames X (F, d) followed by ten Lloyd refinements."""
     n = X.shape[0]
     centers = np.empty((K, X.shape[1]))
     centers[0] = X[int(rng.integers(n))]
@@ -167,15 +166,13 @@ def gaussian_m_step(X, g):
     return means, np.stack(covs)
 
 
-def init_gaussian_hmm(sequences, K, seed) -> GaussianHmm:
-    """k-means++ means, pooled covariance, uniform initial/transition terms."""
-    pooled = np.vstack([np.atleast_2d(s) for s in sequences])
-    if pooled.shape[0] < K:
+def init_gaussian_hmm(X, K, seed) -> GaussianHmm:
+    """k-means++ means, pooled covariance, uniform initial/transition terms for frames X (F, d)."""
+    if X.shape[0] < K:
         raise ValueError(f"need >= {K} frames to fit {K} states")
     rng = np.random.default_rng(seed)
-    means = kmeans_plus_plus(pooled, K, rng)
-    base = np.cov(pooled, rowvar=False, bias=True)
-    base = np.atleast_2d(base)
+    means = kmeans_plus_plus(X, K, rng)
+    base = np.atleast_2d(np.cov(X, rowvar=False, bias=True))
     cov = base + MIN_COVAR * np.eye(base.shape[0])
     covs = np.repeat(cov[None, :, :], K, axis=0)
     return GaussianHmm(
@@ -183,30 +180,47 @@ def init_gaussian_hmm(sequences, K, seed) -> GaussianHmm:
     )
 
 
-def hmm_em_fit(sequences, K: int, iterations: int, seed: int) -> tuple[GaussianHmm, list[float]]:
-    """Baum-Welch over a list of (T, d) sequences.
+def transition_m_step(counts, fallback, floor: float) -> np.ndarray:
+    """Expected transition counts (K, K) normalised by row; a row whose counts
+    sum to no more than floor takes the fallback row instead."""
+    rows = counts.sum(axis=1)
+    A = np.where(rows[:, None] > floor, counts / np.maximum(rows, 1e-300)[:, None], fallback)
+    A /= A.sum(axis=1, keepdims=True)
+    return A
 
-    Returns (model, trace) where trace[i] is the total log-likelihood under
-    the parameters entering iteration i (length iterations + 1; the last
-    entry is the final model's log-likelihood). The trace is non-decreasing
-    up to the covariance floor.
-    """
-    seqs = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in sequences]
-    if not seqs or sum(s.shape[0] for s in seqs) == 0:
+
+def em_fit(sequences, iterations: int, start, e_step, refit):
+    """EM over a list of (T, d) sequences, for the HMM and the HSMM alike. start(X,
+    lengths) builds the first model from the frames (F, d), stacked once, and the
+    lengths (N,); e_step(model, X, lengths) returns (logliks (N,), gamma (N, T, K),
+    *stats); refit(model, pi, means, covs, *stats) builds the next one. Returns
+    (model, trace): trace[i] is the total log-likelihood under the parameters
+    entering iteration i (iterations + 1 entries, the last the final model's),
+    non-decreasing up to the covariance floor."""
+    if len(sequences) == 0:
         raise ValueError("no training frames")
-    hmm = init_gaussian_hmm(seqs, K, seed)
-    X, lengths = chain.stack(seqs)
-    trace = []
+    X, lengths = chain.stack(sequences)
+    model, trace = start(X, lengths), []
     for _ in range(int(iterations)):
-        gamma, xi, logz = chain.forward_backward(*_chain_args(hmm, X, lengths))
-        trace.append(float(logz.sum()))
+        loglik, gamma, *stats = e_step(model, X, lengths)
+        trace.append(float(loglik.sum()))
         first = gamma[:, 0].sum(axis=0)
         means, covs = gaussian_m_step(X, gamma[chain.valid(lengths, gamma.shape[1])])
         del gamma  # frees the posteriors before the next E-step allocates its own
-        pi = first / first.sum()
-        row = xi.sum(axis=1)
-        A = np.where(row[:, None] > 0, xi / np.maximum(row, 1e-300)[:, None], 1.0 / K)
-        A /= A.sum(axis=1, keepdims=True)
-        hmm = GaussianHmm(pi=pi, A=A, means=means, covs=covs)
-    trace.append(float(chain.posteriors(*_chain_args(hmm, X, lengths))[1].sum()))
-    return hmm, trace
+        model = refit(model, first / first.sum(), means, covs, *stats)
+    trace.append(float(e_step(model, X, lengths)[0].sum()))
+    return model, trace
+
+
+def _e_step(hmm: GaussianHmm, X, lengths):
+    gamma, xi, logz = chain.forward_backward(*_chain_args(hmm, X, lengths))
+    return logz, gamma, xi
+
+
+def _refit(hmm: GaussianHmm, pi, means, covs, xi) -> GaussianHmm:
+    return GaussianHmm(pi=pi, A=transition_m_step(xi, 1.0 / hmm.n_states, 0.0), means=means, covs=covs)
+
+
+def hmm_em_fit(sequences, K: int, iterations: int, seed: int) -> tuple[GaussianHmm, list[float]]:
+    """Baum-Welch over a list of (T, d) sequences; returns (model, trace) as em_fit does."""
+    return em_fit(sequences, iterations, lambda X, _: init_gaussian_hmm(X, K, seed), _e_step, _refit)

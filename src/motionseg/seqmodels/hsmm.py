@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ModelInvalidError, ShapeError
+from ..errors import DegenerateDatasetError, ModelInvalidError, ShapeError
 from . import chain
 from .chain import LOG_EPS, logsumexp
-from .hmm import emission_log_probs, gaussian_m_step, hold_gaussian_states, init_gaussian_hmm
+from .hmm import em_fit, emission_log_probs, hold_gaussian_states, init_gaussian_hmm, transition_m_step
 
 # exp of anything below about -708 is subnormal or 0, and numpy computes it
 # 15-170x slower than in range; e^-700 < 1e-304 cannot move a sum that holds
@@ -35,7 +35,7 @@ class Hsmm:
     means: np.ndarray  # (K, d)
     covs: np.ndarray  # (K, d, d)
     lambdas: np.ndarray  # (K,) truncated-Poisson rates
-    d_max: int = 60
+    d_max: int
     factors: tuple = field(init=False, repr=False, compare=False)  # gaussian_factors(covs)
 
     def __post_init__(self):
@@ -142,7 +142,7 @@ def hsmm_viterbi(hsmm: Hsmm, X) -> tuple[np.ndarray, float]:
 
 def _posteriors(hsmm: Hsmm, X, lengths):
     """Batched E-step over the sequences stacked in X: logliks (N,), gamma
-    (N, T, K), and xi (K, K), rho (K,), dur_counts (K, d_max) summed over them."""
+    (N, T, K), and xi (K, K) and dur_counts (K, d_max) summed over them."""
     cumb, log_dur, log_pi, log_A = _segment_scores(hsmm, X, lengths)
     N, T, K = cumb.shape[0], cumb.shape[1] - 1, cumb.shape[2]
     D = min(hsmm.d_max, T)
@@ -202,62 +202,41 @@ def _posteriors(hsmm: Hsmm, X, lengths):
         seg += log_dur[:, d - 1]
         np.maximum(seg, EXP_FLOOR, out=seg)
         dur_counts[:, d - 1] = ones[: N * (T - d + 1)] @ np.exp(seg, out=seg).reshape(-1, K)
-    rho = starts[:, 0].sum(axis=0)
     # P(k at t) = P(a segment of k started by t) - P(one ended before t)
     gamma = np.cumsum(starts, axis=1, out=starts)
     gamma[:, 1:] -= np.cumsum(ends, axis=1, out=ends)[:, :-1]
     np.maximum(gamma, 0.0, out=gamma)
     gamma[~chain.valid(lengths, T)] = 0.0
-    return loglik, gamma, xi, rho, dur_counts
+    return loglik, gamma, xi, dur_counts
 
 
 def hsmm_posteriors(hsmm: Hsmm, X):
-    """E-step quantities for one sequence.
+    """E-step of one sequence: (loglik, gamma (T, K), xi (K, K), dur_counts (K, d_max))."""
+    loglik, gamma, xi, dur_counts = _posteriors(hsmm, *chain.stack([X]))
+    return float(loglik[0]), gamma[0], xi, dur_counts
 
-    Returns (loglik, gamma (T,K), xi (K,K), rho (K,), dur_counts (K,D)).
-    """
-    loglik, gamma, xi, rho, dur_counts = _posteriors(hsmm, *chain.stack([X]))
-    return float(loglik[0]), gamma[0], xi, rho, dur_counts
+
+def _refit(hsmm: Hsmm, pi, means, covs, xi, dur_counts) -> Hsmm:
+    K, A = hsmm.n_states, np.zeros((1, 1))
+    if K > 1:
+        np.fill_diagonal(xi, 0.0)
+        A = transition_m_step(xi, (1.0 - np.eye(K)) / (K - 1), 1e-12)
+        A /= A.sum(axis=1, keepdims=True)  # a second pass, kept: without it A moves by ~1e-13
+    mass = dur_counts.sum(axis=1)
+    mean_dur = dur_counts @ np.arange(1, hsmm.d_max + 1) / np.maximum(mass, 1e-300)
+    lambdas = np.where(mass > 1e-12, fit_truncated_poisson(mean_dur, hsmm.d_max), hsmm.lambdas)
+    return Hsmm(pi=pi, A=A, means=means, covs=covs, lambdas=lambdas, d_max=hsmm.d_max)
 
 
 def hsmm_em_fit(sequences, K: int, iterations: int, seed: int, d_max: int) -> tuple[Hsmm, list[float]]:
-    """EM for the explicit-duration model; mirrors hmm_em_fit's trace contract."""
-    seqs = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in sequences]
-    if not seqs:
-        raise ValueError("no training sequences")
-    base = init_gaussian_hmm(seqs, K, seed)
-    avg_t = np.mean([s.shape[0] for s in seqs])
-    lam0 = float(np.clip(avg_t / (2.0 * K), 1.5, max(d_max / 2.0, 1.5)))
-    A = np.full((K, K), 1.0 / (K - 1)) if K > 1 else np.zeros((1, 1))
-    np.fill_diagonal(A, 0.0)
-    hsmm = Hsmm(
-        pi=base.pi, A=A, means=base.means, covs=base.covs,
-        lambdas=np.full(K, lam0), d_max=d_max,
-    )
-    X, lengths = chain.stack(seqs)
-    trace = []
-    for _ in range(int(iterations)):
-        loglik, gamma, xi_acc, rho_acc, dur_acc = _posteriors(hsmm, X, lengths)
-        trace.append(float(loglik.sum()))
-        means, covs = gaussian_m_step(X, gamma[chain.valid(lengths, gamma.shape[1])])
-        del gamma  # frees the posteriors before the next E-step allocates its own
+    """EM for the explicit-duration model; returns (model, trace) as em_fit does."""
+    def start(X, lengths):
+        if K == 1 and lengths.max() > d_max:  # one state has no transition out of a segment
+            raise DegenerateDatasetError(f"a one-state hsmm cannot explain a sequence of "
+                                         f"{lengths.max()} frames with segments of at most d_max = {d_max}")
+        base = init_gaussian_hmm(X, K, seed)
+        lam0 = float(np.clip(lengths.mean() / (2.0 * K), 1.5, max(d_max / 2.0, 1.5)))
+        return Hsmm(pi=base.pi, A=(1.0 - np.eye(K)) / max(K - 1, 1), means=base.means,
+                    covs=base.covs, lambdas=np.full(K, lam0), d_max=d_max)
 
-        pi = rho_acc / rho_acc.sum()
-        np.fill_diagonal(xi_acc, 0.0)
-        rows = xi_acc.sum(axis=1)
-        if K > 1:
-            uniform = np.full((K, K), 1.0 / (K - 1))
-            np.fill_diagonal(uniform, 0.0)
-            A = np.where(rows[:, None] > 1e-12, xi_acc / np.maximum(rows, 1e-300)[:, None], uniform)
-            A /= A.sum(axis=1, keepdims=True)
-            np.fill_diagonal(A, 0.0)
-            A /= A.sum(axis=1, keepdims=True)
-        else:
-            A = np.zeros((1, 1))
-
-        mass = dur_acc.sum(axis=1)
-        mean_dur = dur_acc @ np.arange(1, hsmm.d_max + 1) / np.maximum(mass, 1e-300)
-        lambdas = np.where(mass > 1e-12, fit_truncated_poisson(mean_dur, hsmm.d_max), hsmm.lambdas)
-        hsmm = Hsmm(pi=pi, A=A, means=means, covs=covs, lambdas=lambdas, d_max=hsmm.d_max)
-    trace.append(float(_posteriors(hsmm, X, lengths)[0].sum()))
-    return hsmm, trace
+    return em_fit(sequences, iterations, start, _posteriors, _refit)

@@ -18,7 +18,7 @@ from ..numerics import check_finite, sq_distances
 class KnnModel:
     train_points: np.ndarray  # (N, d), a read-only copy
     train_labels: np.ndarray  # (N,), a read-only copy
-    k: int = 5
+    k: int
     # np.sum(train_points**2, axis=1), and np.unique(train_labels, return_inverse=True)
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
     classes: np.ndarray = field(init=False, repr=False, compare=False)

@@ -132,7 +132,7 @@ class BiRnn:
     bwd: LstmCell
     w_out: np.ndarray  # (C, 2H)
     b_out: np.ndarray  # (C,)
-    stride: int = 64
+    stride: int
 
     def __post_init__(self):
         self.w_out = np.asarray(self.w_out, dtype=np.float64)

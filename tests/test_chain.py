@@ -17,17 +17,21 @@ from motionseg.seqmodels.crf import (
     new_crf,
 )
 from motionseg.seqmodels.hmm import (
+    MIN_COVAR,
     GaussianHmm,
     _chain_args,
+    gaussian_m_step,
     hmm_em_fit,
     hmm_forward_backward,
     hmm_viterbi,
     hmm_viterbi_batch,
+    kmeans_plus_plus,
 )
 from motionseg.seqmodels.hsmm import (
     Hsmm,
     _posteriors as hsmm_batch_posteriors,
     _segment_scores,
+    fit_truncated_poisson,
     hsmm_em_fit,
     hsmm_loglik,
     hsmm_posteriors,
@@ -161,7 +165,7 @@ def test_hsmm_batch_matches_enumeration(lengths, seed):
     rng = np.random.default_rng(seed)
     hsmm = random_hsmm(K=2, d=2, d_max=3, rng=rng)
     seqs = [rng.normal(size=(n, 2)) for n in lengths]
-    loglik, gamma, xi, rho, dur = hsmm_batch_posteriors(hsmm, *chain.stack(seqs))
+    loglik, gamma, xi, dur = hsmm_batch_posteriors(hsmm, *chain.stack(seqs))
     paths, best = hsmm_viterbi_batch(hsmm, seqs)
     singles = [hsmm_posteriors(hsmm, X) for X in seqs]
     for n, X in enumerate(seqs):
@@ -171,7 +175,7 @@ def test_hsmm_batch_matches_enumeration(lengths, seed):
         np.testing.assert_array_equal(paths[n], best_path)
         np.testing.assert_allclose(gamma[n, : len(X)], singles[n][1], atol=1e-10)
         np.testing.assert_allclose(gamma[n, : len(X)].sum(axis=1), 1.0, atol=1e-9)
-    for batched, parts in zip((xi, rho, dur), zip(*(s[2:] for s in singles))):
+    for batched, parts in zip((xi, dur), zip(*(s[2:] for s in singles))):
         np.testing.assert_allclose(batched, sum(parts), atol=1e-9)
 
 
@@ -212,12 +216,11 @@ def two_loop_posteriors(hsmm, X, lengths):
         rest = back(np.log(total) + m - cumb[:, t])
     ends = np.exp(tail + ls - cumb[:, 1:] - loglik[:, None, None])
     xi = chain.pair_sum(ls, starts, step)
-    rho = starts[:, 0].sum(axis=0)
     gamma = np.cumsum(starts, axis=1)
     gamma[:, 1:] -= np.cumsum(ends, axis=1)[:, :-1]
     np.maximum(gamma, 0.0, out=gamma)
     gamma[~chain.valid(lengths, T)] = 0.0
-    return loglik, gamma, xi, rho, dur_counts
+    return loglik, gamma, xi, dur_counts
 
 
 @settings(max_examples=80, deadline=None)
@@ -245,7 +248,7 @@ def test_hsmm_one_loop_posteriors_match_two_loops(lengths, K, d_max, seed, scale
                 lambdas=hsmm.lambdas, d_max=d_max)
     X, lens = chain.stack([rng.normal(size=(n, 2)) * scale for n in lengths])
     got, want = hsmm_batch_posteriors(hsmm, X, lens), two_loop_posteriors(hsmm, X, lens)
-    for name, a, b in zip(("loglik", "gamma", "xi", "rho", "dur_counts"), got, want):
+    for name, a, b in zip(("loglik", "gamma", "xi", "dur_counts"), got, want):
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10, err_msg=name)
 
 
@@ -344,6 +347,94 @@ def test_em_monotone_on_ragged_sequences(seed):
     seqs = [sample_hsmm(truth, int(n), rng) for n in rng.integers(1, 60, size=5)]
     _, trace = hsmm_em_fit(seqs, K=2, iterations=10, seed=seed, d_max=12)
     assert (np.diff(trace) >= -1e-6).all()
+
+
+def init_gaussian_hmm_loop(sequences, K, seed):
+    """The pooled k-means++ start of both fitters, stacking its own copy of the corpus."""
+    pooled = np.vstack([np.atleast_2d(s) for s in sequences])
+    means = kmeans_plus_plus(pooled, K, np.random.default_rng(seed))
+    cov = np.atleast_2d(np.cov(pooled, rowvar=False, bias=True)) + MIN_COVAR * np.eye(pooled.shape[1])
+    return GaussianHmm(pi=np.full(K, 1.0 / K), A=np.full((K, K), 1.0 / K), means=means,
+                       covs=np.repeat(cov[None], K, axis=0))
+
+
+def hmm_em_fit_loop(sequences, K, iterations, seed):
+    """Baum-Welch as it was written before the HMM and the HSMM shared one EM loop."""
+    seqs = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in sequences]
+    hmm = init_gaussian_hmm_loop(seqs, K, seed)
+    X, lengths = chain.stack(seqs)
+    trace = []
+    for _ in range(iterations):
+        gamma, xi, logz = chain.forward_backward(*_chain_args(hmm, X, lengths))
+        trace.append(float(logz.sum()))
+        first = gamma[:, 0].sum(axis=0)
+        means, covs = gaussian_m_step(X, gamma[chain.valid(lengths, gamma.shape[1])])
+        pi = first / first.sum()
+        row = xi.sum(axis=1)
+        A = np.where(row[:, None] > 0, xi / np.maximum(row, 1e-300)[:, None], 1.0 / K)
+        A /= A.sum(axis=1, keepdims=True)
+        hmm = GaussianHmm(pi=pi, A=A, means=means, covs=covs)
+    trace.append(float(chain.posteriors(*_chain_args(hmm, X, lengths))[1].sum()))
+    return hmm, trace
+
+
+def hsmm_em_fit_loop(sequences, K, iterations, seed, d_max):
+    """The explicit-duration EM as it was written before it shared the HMM's loop."""
+    seqs = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in sequences]
+    base = init_gaussian_hmm_loop(seqs, K, seed)
+    avg_t = np.mean([s.shape[0] for s in seqs])
+    lam0 = float(np.clip(avg_t / (2.0 * K), 1.5, max(d_max / 2.0, 1.5)))
+    A = np.full((K, K), 1.0 / (K - 1)) if K > 1 else np.zeros((1, 1))
+    np.fill_diagonal(A, 0.0)
+    hsmm = Hsmm(pi=base.pi, A=A, means=base.means, covs=base.covs,
+                lambdas=np.full(K, lam0), d_max=d_max)
+    X, lengths = chain.stack(seqs)
+    trace = []
+    for _ in range(iterations):
+        loglik, gamma, xi_acc, dur_acc = hsmm_batch_posteriors(hsmm, X, lengths)
+        trace.append(float(loglik.sum()))
+        rho_acc = gamma[:, 0].sum(axis=0)
+        means, covs = gaussian_m_step(X, gamma[chain.valid(lengths, gamma.shape[1])])
+        pi = rho_acc / rho_acc.sum()
+        np.fill_diagonal(xi_acc, 0.0)
+        rows = xi_acc.sum(axis=1)
+        if K > 1:
+            uniform = np.full((K, K), 1.0 / (K - 1))
+            np.fill_diagonal(uniform, 0.0)
+            A = np.where(rows[:, None] > 1e-12, xi_acc / np.maximum(rows, 1e-300)[:, None], uniform)
+            A /= A.sum(axis=1, keepdims=True)
+            np.fill_diagonal(A, 0.0)
+            A /= A.sum(axis=1, keepdims=True)
+        else:
+            A = np.zeros((1, 1))
+        mass = dur_acc.sum(axis=1)
+        mean_dur = dur_acc @ np.arange(1, d_max + 1) / np.maximum(mass, 1e-300)
+        lambdas = np.where(mass > 1e-12, fit_truncated_poisson(mean_dur, d_max), hsmm.lambdas)
+        hsmm = Hsmm(pi=pi, A=A, means=means, covs=covs, lambdas=lambdas, d_max=d_max)
+    trace.append(float(hsmm_batch_posteriors(hsmm, X, lengths)[0].sum()))
+    return hsmm, trace
+
+
+@settings(max_examples=40, deadline=None)
+@given(lengths=st.lists(st.integers(1, 30), min_size=1, max_size=6), K=st.integers(1, 4),
+       d_max=st.sampled_from([1, 3, 12, 40]), iterations=st.integers(0, 4), seed=seeds)
+@example(lengths=[30, 1, 17], K=1, d_max=40, iterations=3, seed=5)
+def test_em_fits_match_their_own_loops_bit_for_bit(lengths, K, d_max, iterations, seed):
+    assume(sum(lengths) >= K)
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(size=(3, 2)) * 2.0
+    seqs = [centres[rng.integers(3, size=n)] + rng.normal(size=(n, 2)) for n in lengths]
+    fits = [(hmm_em_fit(seqs, K, iterations, seed), hmm_em_fit_loop(seqs, K, iterations, seed),
+             ("pi", "A", "means", "covs"))]
+    if K > 1 or max(lengths) <= d_max:  # one state explains no sequence longer than d_max
+        fits.append((hsmm_em_fit(seqs, K, iterations, seed, d_max),
+                     hsmm_em_fit_loop(seqs, K, iterations, seed, d_max),
+                     ("pi", "A", "means", "covs", "lambdas")))
+    for (got, got_trace), (want, want_trace), names in fits:
+        assert len(got_trace) == iterations + 1
+        np.testing.assert_array_equal(got_trace, want_trace)
+        for name in names:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
 def test_crf_gradient_on_ragged_sequences():

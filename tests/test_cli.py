@@ -142,6 +142,18 @@ class TestTrain:
         assert code == 1
         assert "manifest" in capsys.readouterr().err
 
+    def test_one_state_hsmm_on_demos_longer_than_dmax_exits_1(self, workspace, capsys, recwarn):
+        config = workspace / "one_state.txt"
+        config.write_text(TINY_CONFIG.replace("hmm_states = 6", "hmm_states = 1"))
+        code = main([
+            "train", "--config", str(config), "--data", data_manifest(workspace),
+            "--out", str(workspace / "one_state"), "--seq-model", "hsmm", "--rounds", "1",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "one-state hsmm" in err and "d_max = 10" in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_cli_flag_overrides_config(self, workspace):
         out = workspace / "run_knn"
         code = main([

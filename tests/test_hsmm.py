@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from motionseg.errors import DegenerateDatasetError
+from motionseg.seqmodels import hsmm as hsmm_module
 from motionseg.seqmodels.hmm import GaussianHmm, emission_log_probs, hmm_viterbi
 from motionseg.seqmodels.hsmm import (
     Hsmm,
@@ -196,6 +198,18 @@ def test_em_recovers_means_up_to_permutation():
     fitted, _ = hsmm_em_fit(seqs, K=2, iterations=15, seed=1, d_max=15)
     got = np.sort(fitted.means.ravel())
     np.testing.assert_allclose(got, [-2.0, 2.0], atol=0.25)
+
+
+def test_one_state_em_rejects_sequences_longer_than_dmax_before_iterating(monkeypatch):
+    # one state has no transition, so its segments, of at most d_max frames,
+    # cannot cover a longer sequence: every path has probability 0
+    def no_e_step(*args):
+        raise AssertionError("E-step ran")
+
+    monkeypatch.setattr(hsmm_module, "_posteriors", no_e_step)
+    seqs = [np.zeros((5, 1)), np.arange(13.0)[:, None]]
+    with pytest.raises(DegenerateDatasetError, match="13 frames .* d_max = 12"):
+        hsmm_em_fit(seqs, K=1, iterations=3, seed=0, d_max=12)
 
 
 def test_hsmm_rejects_nonzero_diagonal():

@@ -339,6 +339,18 @@ def test_array_larger_than_the_file_rejected_before_reading(tmp_path, shape):
     assert_rejected(path, "runs past the end of the file")
 
 
+def test_header_readable_only_as_python_2_rejected(tmp_path):
+    # numpy reads `3L` through its Python 2 fallback, with a warning
+    path = tmp_path / "m.model"
+    save_model(fixed_models()["hmm"], path)
+    whole = path.read_bytes()
+    start = whole.index(b"'shape': (3,), }")
+    end = whole.index(b"\n", start)
+    patched = b"'shape': (3L,), }".ljust(end - start)
+    path.write_bytes(whole[:start] + patched + whole[end:])
+    assert_rejected(path, "created on Python 2")
+
+
 @pytest.fixture(scope="module")
 def fuzz_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")

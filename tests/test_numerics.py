@@ -166,7 +166,7 @@ def test_adam_descends_on_quadratic():
 
 def test_adam_rejects_nonfinite_grads():
     p = [np.ones(2)]
-    state = numerics.make_optimizer(p)
+    state = numerics.make_optimizer(p, lr=1e-3)
     with pytest.raises(NumericError):
         numerics.optimizer_step(p, [np.array([1.0, np.inf])], state)
 

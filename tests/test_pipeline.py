@@ -123,7 +123,7 @@ class TestPseudoLabels:
     def test_untrained_encoder_rejected(self):
         from motionseg.embedding import new_encoder
 
-        enc = new_encoder(self.ds.feature_width, dim=4, hidden=(8,))
+        enc = new_encoder(self.ds.feature_width, dim=4, hidden=(8,), seed=0)
         with pytest.raises(UnfittedModelError):
             infer_pseudo_labels(enc, self.bundle, self.train.unlabeled_demos())
 
