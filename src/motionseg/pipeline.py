@@ -198,7 +198,7 @@ def predict_frames(bundle: SegmenterBundle, embedded) -> tuple[np.ndarray, np.nd
             gamma, _ = hmm_forward_backward(bundle.model, E)
             path, _ = hmm_viterbi(bundle.model, E)
         else:
-            _, gamma, _, _ = hsmm_posteriors(bundle.model, E)
+            _, gamma = hsmm_posteriors(bundle.model, E)
             path, _ = hsmm_viterbi(bundle.model, E)
         state_label = bundle.state_map
         label_post = np.zeros((E.shape[0], state_label.max() + 1))

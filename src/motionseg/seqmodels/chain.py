@@ -1,11 +1,15 @@
 """Batched linear-chain recursions shared by the HMM, HSMM and CRF.
 
 N ragged sequences travel as one zero-padded (N, T, K) array plus lengths;
-Python loops run over time only. Messages stay in log space; the sum over
-the previous state is a max-shifted matrix product (Rabiner 1989, §V.A),
-redone exactly in log space wherever it would underflow. The backward
-recursion reads only the emissions, never the forward messages, so one
-time loop carries both directions as a (2, N, K) stack (``PairStep``).
+Python loops run over time only. Forward-backward runs in probability space
+(Rabiner 1989, "A Tutorial on Hidden Markov Models", §V.A): emissions are
+exponentiated once, shifted by each frame's maximum, and each step divides
+the messages by their mass; the log tables come from one log pass after the
+loop. Where that cannot vouch for its result, the call is redone by the
+log-space loop, whose sum over the previous state is a max-shifted matrix
+product, exact in log space wherever it would underflow. The backward
+recursion reads only the emissions, never the forward messages, so one time
+loop carries both directions as a (2, N, K) stack (``PairStep``).
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import numpy as np
 LOG_EPS = -1e300  # stand-in for log(0) that survives arithmetic
 TINY = 1e-290  # a shifted message entry below this may have lost terms that matter
 BLOCK = 8  # sequences per GEMM in pair_sum
+CHECK_TOL = 1e-12  # the scaled posteriors' largest relative disagreement in log Z (rounding: < 3e-14)
+PAIR_BLOCK = 1 << 14  # floats of frame factors the scaled loop copies at once
 
 
 def logsumexp(a, axis=None):
@@ -113,8 +119,96 @@ def forward_backward(log_unary, log_trans, lengths, log_init=None):
 def posteriors(log_unary, log_trans, lengths, log_init=None):
     """forward_backward without the pairwise marginals: gamma (N, T, K), zero
     past each length; log normalizers (N,); the forward messages (N, T, K)."""
-    N, T, K = log_unary.shape
     check_lengths(lengths)
+    scaled = scaled_posteriors(log_unary, log_trans, lengths, log_init)
+    return scaled if scaled is not None else log_posteriors(log_unary, log_trans, lengths, log_init)
+
+
+def scaled_posteriors(log_unary, log_trans, lengths, log_init=None):
+    """posteriors by Rabiner's scaled recursion in probability space, or None
+    where the result cannot be vouched for: a valid step's mass underflowed
+    (normaliser <= TINY), or some frame's posterior mass disagrees with log Z
+    (a term lost in one direction only)."""
+    N, T, K = log_unary.shape
+    last = np.asarray(lengths) - 1
+    shift = float(np.max(log_trans))
+    M = np.exp(log_trans - shift)
+    MM = np.stack([M, M.T])  # forward and backward transitions, one batched product a step
+    init = 0.0 if log_init is None else float(np.max(log_init))
+    m = np.maximum.reduce(log_unary, axis=2)  # (N, T) frame maxima
+    # b: the frame factors exp(u - max u), then gamma; pair: the factors of
+    # frames t (forward) and T - 1 - t (backward) for a block of steps
+    b = np.subtract(log_unary, m[:, :, None])
+    np.exp(b, out=b)
+    rows = max(1, PAIR_BLOCK // (2 * N * K))
+    pair = np.empty((min(rows, T), 2, N, K))
+
+    def factors(t0, t1):
+        f = pair[: t1 - t0]
+        f[:, 0], f[:, 1] = b[:, t0:t1].transpose(1, 0, 2), b[:, T - t1 : T - t0][:, ::-1].transpose(1, 0, 2)
+        return f
+
+    # q[0][:, t] is the forward message into frame t before its factor (after the
+    # loop, the log forward messages), q[1][:, t] the backward message at frame
+    # T - 1 - t; x the two leaving step t, divided by c[t]
+    q, x = np.empty((2, N, T, K)), np.empty((2, N, K))
+    q[0, :, 0] = 1.0 if log_init is None else np.exp(log_init - init)
+    q[1, :, 0] = 1.0
+    c, ones = np.empty((T, 2, N, 1)), np.ones((K, 1))
+    restarts = {T - 1 - int(n): np.flatnonzero(last == n) for n in np.unique(last[last < T - 1])}
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t in range(T):
+            if t % rows == 0:
+                f = factors(t, min(T, t + rows))
+            if t:
+                np.matmul(x, MM, out=q[:, :, t])
+                if t in restarts:  # a backward message starts at 1 on its sequence's last frame
+                    q[1, restarts[t], t] = 1.0
+            np.multiply(q[:, :, t], f[t % rows], out=x)
+            np.matmul(x, ones, out=c[t])
+            np.divide(x, c[t], out=x)
+        ok = valid(lengths, T)  # (N, T)
+        c = c[:, :, :, 0].transpose(1, 2, 0)  # (2, N, T)
+        if not (np.all(c[0] > TINY, where=ok) and np.all(c[1] > TINY, where=ok[:, ::-1])):
+            return None
+        # log offsets of q: the frame maxima, the transition shift and the masses
+        # divided out, summed along each direction from its first frame
+        logc = np.log(c)
+        logc[0] += m
+        logc[1] += m[:, ::-1]
+        logc += shift
+        logc[0][~ok] = 0.0
+        logc[1][~ok[:, ::-1]] = 0.0
+        fwd, bwd = np.cumsum(logc, axis=2)
+        fwd += init
+        logz = fwd[np.arange(N), last] - shift
+        fwd[:, 1:] = fwd[:, :-1]  # the offset of q[0][:, t] sums the steps before t
+        fwd[:, 0] = init
+        la = q[0]
+        la *= b  # the forward messages, each frame's factor taken
+        gamma = np.multiply(la, q[1][:, ::-1], out=b)
+        mass = np.matmul(gamma, ones)[:, :, 0]
+        # log of each frame's total mass against log Z
+        check = np.log(mass)
+        check += fwd
+        check += m
+        check[:, :-1] += bwd[:, -2::-1]
+        if not np.all(np.abs(check - logz[:, None]) <= CHECK_TOL * np.maximum(1.0, np.abs(logz))[:, None], where=ok):
+            return None
+        gamma /= mass[:, :, None]
+        np.log(la, out=la)
+        np.maximum(la, LOG_EPS, out=la)
+        la += (fwd + m)[:, :, None]
+    if restarts:
+        gamma[~ok] = 0.0
+        la[~ok] = 0.0  # past a sequence's end the forward messages are unused
+    return gamma, logz, la
+
+
+def log_posteriors(log_unary, log_trans, lengths, log_init=None):
+    """posteriors with messages in log space, each step a PairStep: the
+    fallback of scaled_posteriors."""
+    N, T, K = log_unary.shape
     last = np.asarray(lengths) - 1
     step = PairStep(log_trans)
     la, lb = np.empty((N, T, K)), np.zeros((N, T, K))

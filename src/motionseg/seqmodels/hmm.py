@@ -95,12 +95,6 @@ def _gaussian_logpdfs(X, means, whiten, logdet) -> np.ndarray:
     return np.multiply(out, -0.5, out=out)
 
 
-def gaussian_logpdf(X, mean, cov) -> np.ndarray:
-    """Log density of rows of X under N(mean, cov)."""
-    factors = gaussian_factors(np.asarray(cov)[None])
-    return _gaussian_logpdfs(X, np.atleast_2d(mean), *factors)[:, 0]
-
-
 def emission_log_probs(model, X) -> np.ndarray:
     """(T, K) emission log densities under the model's Gaussian states (HMM or HSMM)."""
     return _gaussian_logpdfs(X, model.means, *model.factors)

@@ -3,12 +3,16 @@
 States carry truncated-Poisson duration distributions over 1..d_max and
 self-transitions are removed. Inference sums (or maximizes) over segment
 decompositions: a path of segments [s, s+d-1] scores
-initial/transition + duration + emissions, all in log space. The final
-segment must end exactly at the last frame (no right-censoring), which is
-also what the brute-force enumeration oracle computes. The posterior pass
-runs its forward and backward recursions in one time loop: the backward
-one reads only the emissions (Yu 2010, "Hidden semi-Markov models"). The
-duration counts follow the loop, since they need the log-likelihood.
+initial/transition + duration + emissions. The final segment must end
+exactly at the last frame (no right-censoring), which is also what the
+brute-force enumeration oracle computes. The posterior pass runs its
+forward and backward recursions in one time loop: the backward one reads
+only the emissions (Yu 2010, "Hidden semi-Markov models"). The loop runs in
+probability space with rescaled messages (Yu and Kobayashi 2006, "Practical
+implementation of an efficient forward-backward algorithm for an
+explicit-duration hidden Markov model"), falling back to log space where
+that cannot vouch for its result; Viterbi runs in log space. The duration
+counts follow the loop, since they need the log-likelihood.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DegenerateDatasetError, ModelInvalidError, ShapeError
 from . import chain
@@ -26,6 +31,16 @@ from .hmm import em_fit, emission_log_probs, hold_gaussian_states, init_gaussian
 # 15-170x slower than in range; e^-700 < 1e-304 cannot move a sum that holds
 # a term of 1, nor a duration count by more than 1e-300
 EXP_FLOOR = -700.0
+# the probability-space recursions (scaled_messages): weights below e^FLUSH are
+# 0, as exp below about -708 is slow and products with them go subnormal; a
+# row's mass is kept in [LOW, HIGH]; a window sum below GUARD times the mass of
+# its window falls back to the log-space loop
+FLUSH = -400.0
+LOW, HIGH = 1e-60, 1e60
+GUARD = np.exp(-260.0)
+EXP_FLUSH = float(np.exp(FLUSH))
+WEIGHT_BLOCK = 1 << 16  # floats of segment weights built at once
+BIG = 1e300  # prefix-sum padding: a segment reaching it weighs exp(-BIG) = 0
 
 
 @dataclass
@@ -89,7 +104,7 @@ def _segment_scores(hsmm: Hsmm, X, lengths):
 
 def hsmm_loglik(hsmm: Hsmm, X) -> float:
     """Total log-likelihood of a sequence (sum over all segmentations)."""
-    return float(_posteriors(hsmm, *chain.stack([X]))[0][0])
+    return hsmm_posteriors(hsmm, X)[0]
 
 
 def hsmm_viterbi_batch(hsmm: Hsmm, sequences) -> tuple[list, np.ndarray]:
@@ -140,13 +155,158 @@ def hsmm_viterbi(hsmm: Hsmm, X) -> tuple[np.ndarray, float]:
     return paths[0], float(best[0])
 
 
-def _posteriors(hsmm: Hsmm, X, lengths):
-    """Batched E-step over the sequences stacked in X: logliks (N,), gamma
-    (N, T, K), and xi (K, K) and dur_counts (K, d_max) summed over them."""
-    cumb, log_dur, log_pi, log_A = _segment_scores(hsmm, X, lengths)
+def _posteriors(hsmm: Hsmm, X, lengths, stats: bool = True):
+    """Batched E-step over the sequences stacked in X: logliks (N,) and gamma
+    (N, T, K), then with stats xi (K, K) and dur_counts (K, d_max) summed over them."""
+    log_dur, log_A = duration_log_pmf(hsmm.lambdas, hsmm.d_max), chain.log_clip(hsmm.A)
+    found = scaled_messages(hsmm, X, lengths, log_dur, stats)
+    if found is None:
+        cumb, _, log_pi, _ = _segment_scores(hsmm, X, lengths)
+        found = log_messages(cumb, log_dur, log_pi, log_A, lengths)
+    loglik, starts, ends, head, ls, rtail = found
+    if stats:
+        xi, dur_counts = _segment_stats(head, ls, rtail, starts, log_dur, log_A)
+    # P(k at t) = P(a segment of k started by t) - P(one ended before t)
+    gamma = np.cumsum(starts, axis=1, out=starts)
+    gamma[:, 1:] -= np.cumsum(ends, axis=1, out=ends)[:, :-1]
+    np.maximum(gamma, 0.0, out=gamma)
+    gamma[~chain.valid(lengths, gamma.shape[1])] = 0.0
+    return (loglik, gamma, xi, dur_counts) if stats else (loglik, gamma)
+
+
+def scaled_messages(hsmm: Hsmm, X, lengths, log_dur, stats: bool):
+    """The forward and backward recursions in probability space (Yu and Kobayashi
+    2006), or None where the result cannot be vouched for.
+
+    Segment weights exp(emission sum + log pmf) are taken relative to each
+    frame's largest emission and flushed to 0 below e^FLUSH, so products stay
+    normal; they are built ahead of the loop, WEIGHT_BLOCK floats at a time. A
+    step's two window sums (segments ending at t, and starting at T - 1 - t) are
+    one product of the stored messages with the weights. A row is rescaled only
+    when its mass leaves [LOW, HIGH], and then with every message later steps
+    read, so each window shares one scale. None when a step's sum is not above
+    GUARD times the mass of its window, where a flushed weight may have mattered.
+
+    Returns (loglik, starts, ends, head, ls, rtail) as log_messages does, the
+    three log tables only with stats; all but ls are views of time-major tables."""
+    u = chain.pad(emission_log_probs(hsmm, X), lengths).transpose(1, 0, 2)  # (T, N, K)
+    T, N, K = u.shape
+    D, last, n = min(hsmm.d_max, T), lengths - 1, np.arange(len(lengths))
+    ok = chain.valid(lengths, T).T  # (T, N)
+    live = np.concatenate([ok, ok[::-1]], axis=1)  # (T, 2N): the step is inside its sequence
+    m = np.maximum.reduce(u, axis=2)
+    total = m.sum(axis=0)  # frame maxima summed over each sequence (padding reads 0)
+    # shifted prefix sums cs[j] = sum of u - m over frames < j, padded by D - 1
+    # frames at each end; past a sequence's end they read -BIG, so a backward
+    # segment crossing the end weighs 0
+    pad = np.empty((T + 2 * D - 1, N, K))
+    pad[: D - 1], pad[T + D :] = BIG, -BIG
+    cs = pad[D - 1 : T + D]
+    cs[0] = 0.0
+    np.cumsum(np.subtract(u, m[:, :, None], out=cs[1:]), axis=0, out=cs[1:])
+    del u
+    cs[np.arange(T + 1)[:, None] > lengths] = -BIG
+    fwin = sliding_window_view(pad[: T + D], D, axis=0).transpose(0, 3, 1, 2)  # [t, i]: cs[t - D + 1 + i]
+    bwin = sliding_window_view(pad[D - 1 :], D, axis=0).transpose(0, 3, 1, 2)[:, ::-1]  # [j, i]: cs[j + D - 1 - i]
+    rev_dur = log_dur[:, D - 1 :: -1].T[:, None, :]  # (D, 1, K), row i is duration D - i
+    rows = max(1, WEIGHT_BLOCK // (D * 2 * N * K))
+    weights = np.empty((min(rows, T), D, 2 * N, K))
+
+    def weigh(t0, t1):
+        """Weights of steps t0 .. t1 - 1: w[t - t0, i] pairs with the message t - D + 1 + i."""
+        w = weights[: t1 - t0]
+        np.subtract(cs[t0 + 1 : t1 + 1, None], fwin[t0:t1], out=w[:, :, :N])
+        np.subtract(bwin[T - t1 + 1 : T - t0 + 1][::-1], cs[T - t1 : T - t0][::-1, None], out=w[:, :, N:])
+        w += rev_dur
+        # exp(max(w, FLUSH - 1)) - e^FLUSH, clipped at 0: 0 for a log weight
+        # below FLUSH and off by at most e^FLUSH above it, with numpy's fast exp
+        np.maximum(w, FLUSH - 1.0, out=w)
+        np.exp(w, out=w)
+        w -= EXP_FLUSH
+        return np.maximum(w, 0.0, out=w)
+
+    # msg[t] holds the forward message into a segment starting at t (rows :N)
+    # and the backward one out of a segment ending at T - 1 - t (rows N:);
+    # sums[t] the window sums of step t, whose mass is mass[t]
+    AA = np.stack([hsmm.A, hsmm.A.T])  # forward and backward transitions, one batched product a step
+    msg, sums = np.empty((T, 2 * N, K)), np.empty((T, 2 * N, K))
+    msg[0, :N], msg[0, N:] = hsmm.pi, 1.0
+    mass, events = np.empty((T, 2 * N)), np.zeros((T, 2 * N))  # events: the log of each rescale
+    restarts = {T - 1 - int(e): N + np.flatnonzero(last == e) for e in np.unique(last[last < T - 1])}
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t in range(T):
+            if t % rows == 0:
+                w = weigh(t, min(T, t + rows))
+            lo = max(0, t - D + 1)
+            wt = w[t % rows, D - (t + 1 - lo) :]
+            np.add.reduce(np.multiply(msg[lo : t + 1], wt, out=wt), axis=0, out=sums[t])
+            c = np.add.reduce(sums[t], axis=1, out=mass[t])
+            if c.min() < LOW or c.max() > HIGH:
+                r = np.flatnonzero(((c < LOW) | (c > HIGH)) & live[t])
+                if len(r):
+                    if not np.all(c[r] > GUARD * np.add.reduce(msg[lo : t + 1, r], axis=(0, 2))):
+                        return None
+                    sums[t, r] /= c[r, None]
+                    msg[max(0, t - D + 2) : t + 1, r] /= c[r, None]  # the messages later steps read
+                    events[t, r] = np.log(c[r])
+            if t + 1 < T:
+                np.matmul(sums[t].reshape(2, N, K), AA, out=msg[t + 1].reshape(2, N, K))
+                if t + 1 in restarts:  # a backward message starts at 1 on its sequence's last frame
+                    msg[t + 1, restarts[t + 1]] = 1.0
+        del weights, w, wt  # freed before the tables below are built
+        # scale[t]: the log scale of the messages during step t, and of sums[t - 1];
+        # message i was last divided at step i + D - 2, so it holds held[i]
+        scale = np.zeros((T + 1, 2 * N))
+        np.cumsum(events, axis=0, out=scale[1:])
+        held = scale[np.minimum(np.arange(T) + D - 1, T)]
+        peak = np.full((T + D - 1, 2 * N), -np.inf)
+        np.log(np.add.reduce(msg, axis=2), out=peak[D - 1 :])
+        peak[D - 1 :] += held
+        peak = sliding_window_view(peak, D, axis=0).max(axis=2)  # the largest message of each window
+        if not np.all(np.log(mass) + scale[:T] > np.log(GUARD * D) + peak, where=live):
+            return None
+        loglik = np.log(np.add.reduce(sums[last, n], axis=1)) + total + scale[last + 1, n]
+        offset = total - loglik
+        # the posteriors of the segments starting at s (over the backward sums)
+        # and ending at e (over the forward sums, once ls has been read off them)
+        starts, ends = sums[::-1, N:], sums[:, :N]  # by frame
+        starts *= msg[:, :N]
+        starts *= np.exp(offset + held[:, :N] + scale[T:0:-1, N:])[:, :, None]
+        if stats:  # the log forward sums by end
+            ls = np.empty((N, T, K))
+            np.log(ends, out=ls.transpose(1, 0, 2))
+            ls += (np.cumsum(m, axis=0) + scale[1:, :N]).T[:, :, None]
+            np.maximum(ls, LOG_EPS, out=ls)
+        ends *= msg[::-1, N:]
+        ends *= np.exp(offset + scale[1:, :N] + held[::-1, N:])[:, :, None]
+        if restarts:
+            starts[~ok] = 0.0
+            ends[~ok] = 0.0
+        if not stats:
+            return loglik, starts.transpose(1, 0, 2), ends.transpose(1, 0, 2), None, None, None
+        # head (less loglik) and rtail (tail reversed in time, LOG_EPS past each
+        # sequence's end) of log_messages, over the messages
+        head, rtail = msg[:, :N], msg[:, N:]
+        for table in (head, rtail):
+            np.log(table, out=table)
+            np.maximum(table, LOG_EPS, out=table)
+        head += (held[:, :N] - loglik)[:, :, None]
+        head -= cs[:T]
+        rtail += (held[:, N:] + total)[:, :, None]
+        rtail += cs[T:0:-1]
+        if restarts:
+            head[~ok] = LOG_EPS
+            rtail[~ok[::-1]] = LOG_EPS
+    return loglik, *(a.transpose(1, 0, 2) for a in (starts, ends, head)), ls, rtail.transpose(1, 0, 2)
+
+
+def log_messages(cumb, log_dur, log_pi, log_A, lengths):
+    """The forward and backward recursions with messages in log space, the
+    fallback of scaled_messages: (loglik (N,), then the posteriors of the
+    segments starting and ending at each frame (N, T, K), then the log tables
+    head (less loglik), ls and rtail that _segment_stats reads)."""
     N, T, K = cumb.shape[0], cumb.shape[1] - 1, cumb.shape[2]
-    D = min(hsmm.d_max, T)
-    last = lengths - 1
+    D, last = min(log_dur.shape[1], T), lengths - 1
     # A segment [s, e] scores head[:, s] + log_dur + tail[:, e]: the path up to s
     # less cumb[:, s], and the rest after e plus cumb[:, e + 1]. One time loop runs
     # both directions: step t sums the segments ending at t into ls[:, t] and those
@@ -179,9 +339,7 @@ def _posteriors(hsmm: Hsmm, X, lengths):
             head[:, t + 1] -= cumb[:, t + 1]
     loglik = logsumexp(ls[np.arange(N), last], axis=1)
 
-    # posteriors of the segments starting at s (into after), ending at e (into
-    # cumb) and of each duration; the (N, T, K) tables are the largest arrays of
-    # a fit, so each is reused in place
+    # posteriors of the segments starting at s (into after) and ending at e (into cumb)
     head -= loglik[:, None, None]
     starts = np.exp(np.add(after, head, out=after), out=after)
     ends = cumb[:, 1:]
@@ -189,31 +347,35 @@ def _posteriors(hsmm: Hsmm, X, lengths):
     ends += rtail[:, ::-1]
     ends -= loglik[:, None, None]
     np.exp(ends, out=ends)
-    xi = chain.pair_sum(ls, starts, step.fwd)
+    return loglik, starts, ends, head, ls, rtail
+
+
+def _segment_stats(head, ls, rtail, starts, log_dur, log_A):
+    """xi (K, K) and dur_counts (K, d_max) from the log tables of the messages;
+    ls is reused in place."""
+    N, T, K = head.shape
+    D = min(log_dur.shape[1], T)
+    xi = chain.pair_sum(ls, starts, chain.Step(log_A))
     # a segment of duration d that starts at s = T - 1 - u scores
     # rev_head[:, u] + log_dur + rtail[:, u - d + 1]; seg reuses head's table
+    # where head is contiguous
     rev_head = ls
     rev_head[:] = head[:, ::-1]
-    flat, ones = msg[0].reshape(-1), np.ones(N * T)
-    dur_counts = np.zeros((K, hsmm.d_max))
+    flat, ones = head.reshape(-1), np.ones(N * T)
+    dur_counts = np.zeros((K, log_dur.shape[1]))
     for d in range(1, D + 1):
         seg = flat[: N * (T - d + 1) * K].reshape(N, T - d + 1, K)
         np.add(rev_head[:, d - 1 :], rtail[:, : T - d + 1], out=seg)
         seg += log_dur[:, d - 1]
         np.maximum(seg, EXP_FLOOR, out=seg)
         dur_counts[:, d - 1] = ones[: N * (T - d + 1)] @ np.exp(seg, out=seg).reshape(-1, K)
-    # P(k at t) = P(a segment of k started by t) - P(one ended before t)
-    gamma = np.cumsum(starts, axis=1, out=starts)
-    gamma[:, 1:] -= np.cumsum(ends, axis=1, out=ends)[:, :-1]
-    np.maximum(gamma, 0.0, out=gamma)
-    gamma[~chain.valid(lengths, T)] = 0.0
-    return loglik, gamma, xi, dur_counts
+    return xi, dur_counts
 
 
 def hsmm_posteriors(hsmm: Hsmm, X):
-    """E-step of one sequence: (loglik, gamma (T, K), xi (K, K), dur_counts (K, d_max))."""
-    loglik, gamma, xi, dur_counts = _posteriors(hsmm, *chain.stack([X]))
-    return float(loglik[0]), gamma[0], xi, dur_counts
+    """Posteriors of one sequence: (loglik, gamma (T, K))."""
+    loglik, gamma = _posteriors(hsmm, *chain.stack([X]), stats=False)
+    return float(loglik[0]), gamma[0]
 
 
 def _refit(hsmm: Hsmm, pi, means, covs, xi, dur_counts) -> Hsmm:

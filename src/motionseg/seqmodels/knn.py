@@ -37,7 +37,9 @@ class KnnModel:
         check_finite("knn", train_points=self.train_points)
         self.train_points.setflags(write=False)
         self.train_labels.setflags(write=False)
-        self.sq_norms = np.sum(self.train_points**2, axis=1)
+        with np.errstate(over="ignore"):  # points beyond about 1e154 square to inf
+            self.sq_norms = np.sum(self.train_points**2, axis=1)
+        check_finite("knn", **{"train_points squared norms": self.sq_norms})
         self.classes, self.label_index = np.unique(self.train_labels, return_inverse=True)
 
 

@@ -13,9 +13,11 @@ from motionseg.seqmodels.crf import (
     crf_log_partition,
     crf_loglik_and_grad,
     crf_marginals,
+    crf_train,
     crf_viterbi,
     new_crf,
 )
+from motionseg.seqmodels import hsmm as hsmm_module
 from motionseg.seqmodels.hmm import (
     MIN_COVAR,
     GaussianHmm,
@@ -167,13 +169,13 @@ def test_hsmm_batch_matches_enumeration(lengths, seed):
     seqs = [rng.normal(size=(n, 2)) for n in lengths]
     loglik, gamma, xi, dur = hsmm_batch_posteriors(hsmm, *chain.stack(seqs))
     paths, best = hsmm_viterbi_batch(hsmm, seqs)
-    singles = [hsmm_posteriors(hsmm, X) for X in seqs]
+    singles = [hsmm_batch_posteriors(hsmm, *chain.stack([X])) for X in seqs]
     for n, X in enumerate(seqs):
         total, best_score, best_path = enumerate_segmentations(hsmm, X)
         assert abs(loglik[n] - total) < 1e-9
         assert abs(best[n] - best_score) < 1e-9
         np.testing.assert_array_equal(paths[n], best_path)
-        np.testing.assert_allclose(gamma[n, : len(X)], singles[n][1], atol=1e-10)
+        np.testing.assert_allclose(gamma[n, : len(X)], singles[n][1][0], atol=1e-10)
         np.testing.assert_allclose(gamma[n, : len(X)].sum(axis=1), 1.0, atol=1e-9)
     for batched, parts in zip((xi, dur), zip(*(s[2:] for s in singles))):
         np.testing.assert_allclose(batched, sum(parts), atol=1e-9)
@@ -250,6 +252,101 @@ def test_hsmm_one_loop_posteriors_match_two_loops(lengths, K, d_max, seed, scale
     got, want = hsmm_batch_posteriors(hsmm, X, lens), two_loop_posteriors(hsmm, X, lens)
     for name, a, b in zip(("loglik", "gamma", "xi", "dur_counts"), got, want):
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10, err_msg=name)
+
+
+# The probability-space recursions against the log-space loops they fall back to.
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=ragged, K=st.integers(1, 5), seed=seeds)
+@example(lengths=MANY, K=5, seed=3)
+def test_scaled_chain_matches_log_loop(lengths, K, seed):
+    unary, log_trans, log_init = random_chain(lengths, K, seed)
+    padded = chain.pad(np.vstack(unary), lengths)
+    scaled = chain.scaled_posteriors(padded, log_trans, lengths, log_init)
+    assume(scaled is not None)
+    logged = chain.log_posteriors(padded, log_trans, lengths, log_init)
+    step = chain.Step(log_trans)
+    np.testing.assert_allclose(scaled[0], logged[0], rtol=0, atol=1e-9, err_msg="gamma")
+    np.testing.assert_allclose(scaled[1], logged[1], rtol=1e-9, err_msg="logz")
+    np.testing.assert_allclose(chain.pair_sum(scaled[2], scaled[0], step),
+                               chain.pair_sum(logged[2], logged[0], step), rtol=0, atol=1e-9, err_msg="xi")
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=ragged, K=st.integers(1, 5), d_max=st.integers(1, 15), seed=seeds)
+@example(lengths=MANY, K=5, d_max=6, seed=4)
+def test_scaled_hsmm_matches_log_loop(lengths, K, d_max, seed):
+    assume(K > 1 or max(lengths) <= d_max)  # one state explains no sequence longer than d_max
+    rng = np.random.default_rng(seed)
+    hsmm = random_hsmm(K=K, d=2, d_max=d_max, rng=rng)
+    X, lens = chain.stack([rng.normal(size=(n, 2)) for n in lengths])
+    cumb, log_dur, log_pi, log_A = _segment_scores(hsmm, X, lens)
+    scaled = hsmm_module.scaled_messages(hsmm, X, lens, log_dur, stats=True)
+    assume(scaled is not None)
+    logged = hsmm_module.log_messages(cumb, log_dur, log_pi, log_A, lens)
+    np.testing.assert_allclose(scaled[0], logged[0], rtol=1e-9, err_msg="loglik")
+    for name, a, b in zip(("starts", "ends"), scaled[1:3], logged[1:3]):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-9, err_msg=name)
+    for name, a, b in zip(("xi", "dur_counts"),
+                          hsmm_module._segment_stats(*scaled[3:], scaled[1], log_dur, log_A),
+                          hsmm_module._segment_stats(*logged[3:], logged[1], log_dur, log_A)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-9, err_msg=name)
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call; returns the calls."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_chain_falls_back_where_the_reachable_state_underflows(monkeypatch):
+    # state 1 holds each frame's largest emission but cannot be entered; state 0,
+    # the only reachable one, scores 1000 nats below it, so its scaled messages are 0
+    unary = np.zeros((1, 6, 2))
+    unary[..., 0] = -1000.0
+    args = (unary, np.array([[0.0, chain.LOG_EPS], [0.0, 0.0]]), [6], np.array([0.0, chain.LOG_EPS]))
+    calls = counting(monkeypatch, chain, "log_posteriors")
+    got = chain.posteriors(*args)
+    assert len(calls) == 1
+    for a, b in zip(got, chain.log_posteriors(*args)):
+        np.testing.assert_array_equal(a, b)
+    assert got[1][0] == -6000.0
+
+
+def test_hsmm_falls_back_where_the_reachable_states_underflow(monkeypatch):
+    # state 2 lies on the data but cannot be entered; states 0 and 1 score about
+    # 450 nats below it at every frame, so every segment weight they have is flushed
+    model = Hsmm(pi=[0.5, 0.5, 0.0], A=[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]],
+                 means=[[30.0], [-30.0], [0.0]], covs=np.ones((3, 1, 1)), lambdas=[2.0, 3.0, 2.0], d_max=4)
+    X, lengths = chain.stack([np.zeros((7, 1)), np.zeros((4, 1))])
+    calls = counting(monkeypatch, hsmm_module, "log_messages")
+    got = hsmm_batch_posteriors(model, X, lengths)
+    assert len(calls) == 1
+    monkeypatch.setattr(hsmm_module, "scaled_messages", lambda *args: None)
+    for a, b in zip(got, hsmm_batch_posteriors(model, X, lengths)):  # the log loop alone
+        np.testing.assert_array_equal(a, b)
+    assert np.isfinite(got[0]).all() and (got[0] < -1000.0).all()
+
+
+def test_fits_and_predictions_take_the_scaled_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the log-space fallback ran")
+
+    monkeypatch.setattr(chain, "log_posteriors", refuse)
+    monkeypatch.setattr(hsmm_module, "log_messages", refuse)
+    rng = np.random.default_rng(0)
+    truth = random_hmm(K=3, d=2, rng=rng)
+    seqs = [sample_hmm(truth, n, rng)[0] for n in (25, 40, 31, 18)]
+    hmm, _ = hmm_em_fit(seqs, K=3, iterations=3, seed=0)
+    hsmm, _ = hsmm_em_fit(seqs, K=3, iterations=3, seed=0, d_max=8)
+    crf, _ = crf_train([(X, rng.integers(1, 4, size=len(X))) for X in seqs], num_labels=3,
+                       iterations=3, num_basis=4, seed=0)
+    for X in seqs:
+        hmm_forward_backward(hmm, X)
+        hsmm_posteriors(hsmm, X)
+        crf_marginals(crf, X)
 
 
 def test_hsmm_viterbi_ties_resolve_to_the_shortest_segment():

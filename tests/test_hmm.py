@@ -13,12 +13,16 @@ from motionseg.seqmodels.hmm import (
     _gaussian_logpdfs,
     emission_log_probs,
     gaussian_factors,
-    gaussian_logpdf,
     hmm_em_fit,
     hmm_forward_backward,
     hmm_viterbi,
 )
 from motionseg.seqmodels.hsmm import Hsmm
+
+
+def gaussian_logpdf(X, mean, cov) -> np.ndarray:
+    """Oracle: log density of the rows of X under one N(mean, cov)."""
+    return _gaussian_logpdfs(X, np.atleast_2d(mean), *gaussian_factors(np.asarray(cov)[None]))[:, 0]
 
 
 def random_hmm(K, d, rng):

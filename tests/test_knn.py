@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motionseg.errors import ModelInvalidError
 from motionseg.seqmodels.knn import KnnModel, knn_predict, knn_predict_batch
 
 
@@ -160,3 +161,9 @@ def test_held_norms_and_label_index_match_a_fresh_computation():
     points[0, 0] = 9.0  # the caller's arrays stay writable and apart from the model
     labels[0] = 9
     assert model.train_points[0, 0] != 9.0 and model.train_labels[0] != 9
+
+
+def test_points_whose_squares_overflow_rejected():
+    # 1e200 squares to inf: the vote would rank this query's own point as far as any
+    with pytest.raises(ModelInvalidError, match="^knn train_points squared norms must be finite$"):
+        KnnModel([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]], [1, 2, 3], k=1)

@@ -303,6 +303,13 @@ def test_values_a_model_rejects_name_the_file(tmp_path):
     assert_rejected(tmp_path / "m.model", "bad knn model")
 
 
+def test_knn_points_whose_squares_overflow_rejected_at_load(tmp_path):
+    points = np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    _write(tmp_path / "m.model", "knn", {"k": 1}, {"points": points, "labels": np.array([1, 2, 3])})
+    with pytest.raises(ModelInvalidError, match="squared norms must be finite"):
+        load_model(tmp_path / "m.model")
+
+
 def test_birnn_stride_below_one_rejected(tmp_path):
     rnn = fixed_models()["birnn"]
     arrays = {"fw": rnn.fwd.w, "fu": rnn.fwd.u, "fb": rnn.fwd.b, "bw": rnn.bwd.w, "bu": rnn.bwd.u,
