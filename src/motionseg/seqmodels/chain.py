@@ -6,10 +6,9 @@ Python loops run over time only. Forward-backward runs in probability space
 exponentiated once, shifted by each frame's maximum, and each step divides
 the messages by their mass; the log tables come from one log pass after the
 loop. Where that cannot vouch for its result, the call is redone by the
-log-space loop, whose sum over the previous state is a max-shifted matrix
-product, exact in log space wherever it would underflow. The backward
-recursion reads only the emissions, never the forward messages, so one time
-loop carries both directions as a (2, N, K) stack (``PairStep``).
+log-space loop, whose sum over the previous state is one exact logsumexp.
+The backward recursion reads only the emissions, never the forward messages,
+so one time loop carries both directions as a (2, N, K) stack.
 """
 
 from __future__ import annotations
@@ -62,58 +61,11 @@ def check_lengths(lengths):
         raise ValueError("empty sequence")
 
 
-class Step:
-    """logsumexp_j(x[:, j] + log_M[j, k]) for the rows of x, by a shifted matrix product."""
-
-    def __init__(self, log_M):
-        # C order whatever the caller's layout: a one-row product takes a
-        # layout-dependent BLAS path, and PairStep must match Step bit for bit
-        self.log_M = log_M = np.ascontiguousarray(log_M)
-        self.shift = float(np.max(log_M))
-        self.M = np.exp(log_M - self.shift)
-        live = self.M.any(axis=0)  # columns some state can reach
-        self.live = None if live.all() else live
-
-    def __call__(self, x):
-        m = x.max(axis=1, keepdims=True)
-        s = np.exp(x - m) @ self.M
-        if self.live is None:
-            if s.min() > TINY:  # every entry positive: log_clip(s) is plain log(s)
-                s = np.log(s, out=s)
-                s += m + self.shift
-                return s
-        elif s[:, self.live].min() > TINY:
-            return log_clip(s) + (m + self.shift)
-        return logsumexp(x[:, :, None] + self.log_M, axis=1)
-
-
-class PairStep:
-    """Step(log_M) on x[0] and Step(log_M.T) on x[1], for a (2, N, K) stack of a
-    forward and a backward message, with one call per operation for both. The
-    result equals the two Steps' bit for bit: where either direction would leave
-    the plain-log branch, each is redone by its own Step."""
-
-    def __init__(self, log_M):
-        self.fwd, self.bwd = Step(log_M), Step(log_M.T)
-        self.M = np.stack([self.fwd.M, self.bwd.M])
-        self.plain = self.fwd.live is None and self.bwd.live is None
-
-    def __call__(self, x):
-        if self.plain:
-            m = x.max(axis=2, keepdims=True)
-            s = np.matmul(np.exp(x - m), self.M)
-            if s.min() > TINY:
-                s = np.log(s, out=s)
-                s += m + self.fwd.shift
-                return s
-        return np.stack([self.fwd(x[0]), self.bwd(x[1])])
-
-
 def forward_backward(log_unary, log_trans, lengths, log_init=None):
     """Posteriors of N padded chains: gamma (N, T, K), zero past each length;
     pairwise marginals summed over all frame pairs (K, K); log normalizers (N,)."""
     gamma, logz, la = posteriors(log_unary, log_trans, lengths, log_init)
-    return gamma, pair_sum(la, gamma, Step(log_trans)), logz
+    return gamma, pair_sum(la, gamma, log_trans), logz
 
 
 def posteriors(log_unary, log_trans, lengths, log_init=None):
@@ -206,11 +158,11 @@ def scaled_posteriors(log_unary, log_trans, lengths, log_init=None):
 
 
 def log_posteriors(log_unary, log_trans, lengths, log_init=None):
-    """posteriors with messages in log space, each step a PairStep: the
-    fallback of scaled_posteriors."""
+    """posteriors with messages in log space, each step one logsumexp over the
+    previous state for both directions: the fallback of scaled_posteriors."""
     N, T, K = log_unary.shape
     last = np.asarray(lengths) - 1
-    step = PairStep(log_trans)
+    trans = np.stack([log_trans, log_trans.T])[:, None]  # (2, 1, K, K): forward, backward
     la, lb = np.empty((N, T, K)), np.zeros((N, T, K))
     la[:, 0] = log_unary[:, 0] if log_init is None else log_init + log_unary[:, 0]
     x = np.empty((2, N, K))  # the messages leaving t - 1 forward and T - t backward
@@ -218,7 +170,7 @@ def log_posteriors(log_unary, log_trans, lengths, log_init=None):
         b = T - 1 - t
         x[0] = la[:, t - 1]
         np.add(log_unary[:, b + 1], lb[:, b + 1], out=x[1])
-        out = step(x)
+        out = logsumexp(x[..., None] + trans, axis=2)
         np.add(log_unary[:, t], out[0], out=la[:, t])
         lb[:, b] = out[1]
         lb[b >= last, b] = 0.0  # a sequence's last frame, and padding past it
@@ -231,7 +183,7 @@ def log_posteriors(log_unary, log_trans, lengths, log_init=None):
     return gamma, logz, la
 
 
-def pair_sum(log_msg, post, step):
+def pair_sum(log_msg, post, log_trans):
     """Σ over every frame pair (t, t+1) of every sequence of P(j at t, k at t+1).
 
     log_msg holds forward messages, post the posterior of entering each state
@@ -239,20 +191,21 @@ def pair_sum(log_msg, post, step):
     of the message into k from j: one GEMM per block of sequences.
     """
     K = log_msg.shape[-1]
+    M = np.exp(log_trans - float(np.max(log_trans)))
     shares, redone = np.zeros((K, K)), np.zeros((K, K))
     for lo in range(0, log_msg.shape[0], BLOCK):
         x = log_msg[lo : lo + BLOCK, :-1].reshape(-1, K)
         nxt = post[lo : lo + BLOCK, 1:].reshape(-1, K)
         P = x - x.max(axis=1, keepdims=True)
-        into = np.exp(P, out=P) @ step.M
+        into = np.exp(P, out=P) @ M
         ok = into > TINY
         redo = ~np.all(ok | (nxt == 0.0), axis=1)
         shares += P.T @ np.divide(nxt, into, out=np.zeros_like(into), where=ok & ~redo[:, None])
         if redo.any():
-            scores = x[redo, :, None] + step.log_M
+            scores = x[redo, :, None] + log_trans
             share = np.exp(scores - logsumexp(scores, axis=1)[:, None, :])
             redone += (share * nxt[redo, None, :]).sum(axis=0)
-    return step.M * shares + redone
+    return M * shares + redone
 
 
 def viterbi(log_unary, log_trans, lengths, log_init=None):

@@ -14,7 +14,7 @@ import numpy as np
 from ..errors import ModelInvalidError, ShapeError
 from ..numerics import check_finite, sq_distances
 from . import chain
-from .chain import log_clip, logsumexp  # noqa: F401  (logsumexp is re-exported)
+from .chain import log_clip
 
 MIN_COVAR = 1e-4  # diagonal floor added to every fitted covariance
 
@@ -187,10 +187,11 @@ def em_fit(sequences, iterations: int, start, e_step, refit):
     """EM over a list of (T, d) sequences, for the HMM and the HSMM alike. start(X,
     lengths) builds the first model from the frames (F, d), stacked once, and the
     lengths (N,); e_step(model, X, lengths) returns (logliks (N,), gamma (N, T, K),
-    *stats); refit(model, pi, means, covs, *stats) builds the next one. Returns
-    (model, trace): trace[i] is the total log-likelihood under the parameters
-    entering iteration i (iterations + 1 entries, the last the final model's),
-    non-decreasing up to the covariance floor."""
+    *stats), and with stats=False only the first two; refit(model, pi, means, covs,
+    *stats) builds the next one. Returns (model, trace): trace[i] is the total
+    log-likelihood under the parameters entering iteration i (iterations + 1
+    entries, the last the final model's, read without the stats), non-decreasing
+    up to the covariance floor."""
     if len(sequences) == 0:
         raise ValueError("no training frames")
     X, lengths = chain.stack(sequences)
@@ -202,13 +203,14 @@ def em_fit(sequences, iterations: int, start, e_step, refit):
         means, covs = gaussian_m_step(X, gamma[chain.valid(lengths, gamma.shape[1])])
         del gamma  # frees the posteriors before the next E-step allocates its own
         model = refit(model, first / first.sum(), means, covs, *stats)
-    trace.append(float(e_step(model, X, lengths)[0].sum()))
+    trace.append(float(e_step(model, X, lengths, stats=False)[0].sum()))
     return model, trace
 
 
-def _e_step(hmm: GaussianHmm, X, lengths):
-    gamma, xi, logz = chain.forward_backward(*_chain_args(hmm, X, lengths))
-    return logz, gamma, xi
+def _e_step(hmm: GaussianHmm, X, lengths, stats: bool = True):
+    args = _chain_args(hmm, X, lengths)
+    gamma, logz, la = chain.posteriors(*args)
+    return (logz, gamma, chain.pair_sum(la, gamma, args[1])) if stats else (logz, gamma)
 
 
 def _refit(hmm: GaussianHmm, pi, means, covs, xi) -> GaussianHmm:

@@ -10,9 +10,9 @@ forward and backward recursions in one time loop: the backward one reads
 only the emissions (Yu 2010, "Hidden semi-Markov models"). The loop runs in
 probability space with rescaled messages (Yu and Kobayashi 2006, "Practical
 implementation of an efficient forward-backward algorithm for an
-explicit-duration hidden Markov model"), falling back to log space where
-that cannot vouch for its result; Viterbi runs in log space. The duration
-counts follow the loop, since they need the log-likelihood.
+explicit-duration hidden Markov model"), falling back to an exact logsumexp
+loop in log space where that cannot vouch for its result; Viterbi runs in
+log space. Duration counts follow the loop: they need the log-likelihood.
 """
 
 from __future__ import annotations
@@ -320,7 +320,7 @@ def log_messages(cumb, log_dur, log_pi, log_A, lengths):
     ls, after = np.empty((N, T, K)), np.empty((N, T, K))  # log sums by end, by start
     edge = np.where(np.arange(T)[:, None] == last, 0.0, LOG_EPS)[:, :, None]  # (T, N, 1)
     work = np.empty((2, N, D, K))
-    step = chain.PairStep(log_A)
+    trans = np.stack([log_A, log_A.T])[:, None]  # (2, 1, K, K): forward, backward
     rest = np.zeros((N, K))  # the backward message into tail[:, s], less cumb[:, s + 1]
     for t in range(T):
         s, lo = T - 1 - t, max(0, t - D + 1)
@@ -335,7 +335,7 @@ def log_messages(cumb, log_dur, log_pi, log_A, lengths):
         ls[:, t], after[:, s] = lse
         if t + 1 < T:
             lse[1] -= cumb[:, s]
-            head[:, t + 1], rest = step(lse)
+            head[:, t + 1], rest = logsumexp(lse[..., None] + trans, axis=2)
             head[:, t + 1] -= cumb[:, t + 1]
     loglik = logsumexp(ls[np.arange(N), last], axis=1)
 
@@ -355,7 +355,7 @@ def _segment_stats(head, ls, rtail, starts, log_dur, log_A):
     ls is reused in place."""
     N, T, K = head.shape
     D = min(log_dur.shape[1], T)
-    xi = chain.pair_sum(ls, starts, chain.Step(log_A))
+    xi = chain.pair_sum(ls, starts, log_A)
     # a segment of duration d that starts at s = T - 1 - u scores
     # rev_head[:, u] + log_dur + rtail[:, u - d + 1]; seg reuses head's table
     # where head is contiguous

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import NumericError, ShapeError
 from ..numerics import check_finite, sq_distances
 
 
@@ -86,6 +86,10 @@ def knn_predict(train_points, train_labels, query, k: int) -> int:
 
 
 def knn_predict_batch(model: KnnModel, queries) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and vote-fraction confidences for (M, d) query rows."""
+    """Labels and vote-fraction confidences for (M, d) query rows; NumericError
+    for a row that is not finite or whose squared norm overflows."""
     Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    with np.errstate(over="ignore"):  # rows beyond about 1e154 square to inf
+        if not np.isfinite(np.sum(Q**2, axis=1)).all():
+            raise NumericError("knn queries and their squared norms must be finite")
     return _vote(sq_distances(Q, model.train_points, model.sq_norms), model)

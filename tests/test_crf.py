@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from motionseg.numerics import finite_diff_check, pack_arrays, unpack_arrays
+from motionseg.seqmodels.chain import logsumexp
 from motionseg.seqmodels.crf import (
     LinearChainCrf,
     crf_features,
@@ -14,7 +15,6 @@ from motionseg.seqmodels.crf import (
     crf_viterbi,
     new_crf,
 )
-from motionseg.seqmodels.hmm import logsumexp
 
 
 def random_crf(C, d, E, rng):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motionseg.errors import ModelInvalidError
+from motionseg.errors import ModelInvalidError, NumericError
 from motionseg.seqmodels.knn import KnnModel, knn_predict, knn_predict_batch
 
 
@@ -167,3 +167,11 @@ def test_points_whose_squares_overflow_rejected():
     # 1e200 squares to inf: the vote would rank this query's own point as far as any
     with pytest.raises(ModelInvalidError, match="^knn train_points squared norms must be finite$"):
         KnnModel([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]], [1, 2, 3], k=1)
+
+
+@pytest.mark.parametrize("query", [[1e200, 0.0], [np.nan, 0.0]], ids=["overflow", "nan"])
+def test_queries_not_finite_or_whose_squares_overflow_rejected(query):
+    # either query would get its label from the index tie-break, at distance inf or nan to every point
+    model = KnnModel([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1, 2, 3], k=1)
+    with pytest.raises(NumericError, match="^knn queries and their squared norms must be finite$"):
+        knn_predict_batch(model, [query])
