@@ -74,13 +74,19 @@ def pose_loss_batch(pred, truth, w_pos: float):
     quaternion falls back to the fixed basis vector, gradient zero there).
     Both arms go through one normalisation and its backward pass.
     """
+    return _pose_loss(pred, truth, w_pos)
+
+
+def _pose_loss(pred, truth, w_pos: float, value: bool = True):
+    """pose_loss_batch, and with value=False grad_pred alone: the loss terms are skipped."""
     pred = np.atleast_2d(np.asarray(pred, dtype=np.float64))
     truth = np.atleast_2d(np.asarray(truth, dtype=np.float64))
     if pred.shape != truth.shape or pred.shape[1] != POSE_DIM:
         raise ShapeError("pose arrays must both be (B, 16)")
     B = pred.shape[0]
     grad = pred - truth  # the residual, scaled in place into the squared-error gradient
-    mse = float(np.add.reduce(grad[:, MSE_DIMS] ** 2, axis=None)) / (POSE_DIM * B)
+    if value:
+        mse = float(np.add.reduce(grad[:, MSE_DIMS] ** 2, axis=None)) / (POSE_DIM * B)
     grad *= w_pos * 2.0
     grad /= POSE_DIM * B
 
@@ -92,17 +98,16 @@ def pose_loss_batch(pred, truth, w_pos: float):
     qhat = raw / safe
     qhat[dead] = (1.0, 0.0, 0.0, 0.0)
     dots = np.add.reduce(qhat * q, axis=1)
-    per_arm = (1.0 - np.abs(dots)).reshape(B, 2)
-    orient = sum(float(np.add.reduce(per_arm[:, k])) / B / 2.0 for k in (0, 1))  # as np.mean
+    if value:
+        per_arm = (1.0 - np.abs(dots)).reshape(B, 2)
+        orient = sum(float(np.add.reduce(per_arm[:, k])) / B / 2.0 for k in (0, 1))  # as np.mean
     g_raw = np.sign(dots)[:, None] * q / (-2.0 * B)  # the cosine term's gradient at qhat
     g_raw -= qhat * np.add.reduce(qhat * g_raw, axis=1, keepdims=True)
     g_raw /= safe
     g_raw[dead] = 0.0
     g_quat = np.multiply(g_raw, 1.0 - w_pos, out=_quat_rows(grad))
     g_quat += 0.0  # as 0.0 + x: w_pos = 1 gives +0.0, never -0.0
-
-    loss = w_pos * mse + (1.0 - w_pos) * orient
-    return loss, grad
+    return (w_pos * mse + (1.0 - w_pos) * orient, grad) if value else grad
 
 
 def pose_loss(pred: EndEffectorPose, truth: EndEffectorPose, w_pos: float):
@@ -204,7 +209,7 @@ def _train_one(embed, demos, epochs, rng, hidden, w_pos, scope):
         for s in range(0, n, DECODER_BATCH):
             idx = order[s : s + DECODER_BATCH]
             out, cache = mlp_forward(decoder.mlp, X[idx])
-            _, grad_out = pose_loss_batch(out, Y[idx], w_pos)
+            grad_out = _pose_loss(out, Y[idx], w_pos, value=False)
             grad, _ = mlp_backward(decoder.mlp, cache, grad_out)
             numerics.optimizer_step(params, [grad], opt)
     return decoder

@@ -215,18 +215,24 @@ def viterbi(log_unary, log_trans, lengths, log_init=None):
     last = np.asarray(lengths) - 1
     done = int(last.min())  # from here on some sequences have ended
     delta = log_unary[:, 0] if log_init is None else log_init + log_unary[:, 0]
-    back = np.zeros((T, N, K), dtype=np.int64)
     into = np.ascontiguousarray(log_trans.T)  # into[k, j] = log_trans[j, k]
-    rows, cols = np.arange(N), np.arange(K)
+    # back[t, n, k]: the best state before k at frame t, time-major; scores[n, k, j]
+    # the score of entering k from j, and rows[n, k] the flat offset of its row
+    back, scores = np.empty((T, N, K), dtype=np.int64), np.empty((N, K, K))
+    rows, at = np.arange(0, N * K * K, K).reshape(N, K), np.empty((N, K), dtype=np.int64)
     for t in range(1, T):  # a finished sequence keeps its last delta
-        scores = delta[:, None, :] + into  # (N, next, previous): argmax runs along memory
-        back[t] = prev = scores.argmax(axis=2)
-        new = scores[rows[:, None], cols, prev] + log_unary[:, t]  # the max, gathered
+        np.add(delta[:, None, :], into, out=scores)  # argmax runs along memory
+        np.add(scores.argmax(axis=2, out=back[t]), rows, out=at)
+        new = scores.take(at)  # the max, gathered
+        new += log_unary[:, t]
         delta = new if t <= done else np.where((t <= last)[:, None], new, delta)
     state, best = delta.argmax(axis=1), delta.max(axis=1)
-    path = np.zeros((T, N), dtype=np.int64)
-    for t in range(T - 1, -1, -1):
-        path[t] = state
-        prev = back[t, rows, state]
-        state = prev if t <= done else np.where(t <= last, prev, state)
-    return [p[:n] for p, n in zip(path.T, lengths)], best
+    paths = []
+    for n, k in enumerate(state.tolist()):  # one scalar read a frame
+        path, walk = np.empty(last[n] + 1, dtype=np.int64), back[:, n]
+        for t in range(last[n], 0, -1):
+            path[t] = k
+            k = walk.item(t, k)
+        path[0] = k
+        paths.append(path)
+    return paths, best

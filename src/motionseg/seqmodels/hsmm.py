@@ -110,40 +110,53 @@ def hsmm_loglik(hsmm: Hsmm, X) -> float:
 def hsmm_viterbi_batch(hsmm: Hsmm, sequences) -> tuple[list, np.ndarray]:
     """Most probable segmentation of each sequence: (per-frame state paths, log scores)."""
     X, lengths = chain.stack(sequences)
-    cumb, log_dur, log_pi, log_A = _segment_scores(hsmm, X, lengths)
-    N, T, K = cumb.shape[0], cumb.shape[1] - 1, cumb.shape[2]
+    logb = chain.pad(emission_log_probs(hsmm, X), lengths).transpose(1, 0, 2)  # (T, N, K)
+    T, N, K = logb.shape
     D = min(hsmm.d_max, T)
-    rev_dur = log_dur[:, D - 1 :: -1].T  # (D, K), row i is duration D - i
+    log_dur = duration_log_pmf(hsmm.lambdas, hsmm.d_max)[:, :D].T[:, None, :]  # (D, 1, K): durations 1..D
+    # time-major and reversed in time: rin[T - s] holds best_in[s], the best score
+    # of the path before a segment starting at s, and rcum[T - s] the emission sum
+    # over the frames before s; before frame 0 they read -inf and 0. Step t's
+    # segments, durations 1..D, start at the frames of the window rin[T - t : T - t + D].
+    rin, rcum = np.empty((T + D, N, K)), np.zeros((T + D, N, K))
+    rin[T], rin[T + 1 :] = chain.log_clip(hsmm.pi), -np.inf
+    np.cumsum(logb, axis=0, out=rcum[T - 1 :: -1])
+    del logb  # freed before the tables below are built
+    into = np.ascontiguousarray(chain.log_clip(hsmm.A).T)  # into[k, j] = log_A[j, k]
     final = np.empty((N, K))  # best score of a segment of k ending each sequence
-    best_in = np.empty((N, T + 1, K))
-    prev_state = np.zeros((N, T + 1, K), dtype=np.int32)
-    best_dur = np.zeros((N, T, K), dtype=np.int32)
-    best_in[:, 0] = log_pi
-    into = np.ascontiguousarray(log_A.T)  # into[k, j] = log_A[j, k]
+    # back-pointers, time-major: the duration less 1 of the best segment of k
+    # ending at t, and the state before the best segment of k starting at s
+    best_dur, prev_state = np.empty((T, N, K), dtype=np.int32), np.empty((T + 1, N, K), dtype=np.int32)
+    # vals[i, n, k]: the score of the segment of k of duration i + 1 ending at t, and
+    # vs its maximum; scores[n, k, j] that of entering k from j. cells[n, k] is the
+    # flat offset of (n, k) in an (N, K) table, rows[n, k] that of row (n, k) in scores.
+    vals, seg, scores = np.empty((D, N, K)), np.empty((D, N, K)), np.empty((N, K, K))
+    vs, pick, cells = np.empty((N, K)), np.empty((N, K), dtype=np.int64), np.arange(N * K).reshape(N, K)
+    rows = K * cells
     done = int(lengths.min()) - 1  # from here on some sequences have ended
-    rows, cols = np.arange(N)[:, None], np.arange(K)  # gather the entry at an argmax
     for t in range(T):
-        starts = slice(max(0, t - D + 1), t + 1)
-        width = starts.stop - starts.start
-        vals = best_in[:, starts] + rev_dur[D - width :] + (cumb[:, t + 1, None] - cumb[:, starts])
-        vals = vals[:, ::-1]  # durations 1, 2, ...: argmax resolves a tie to the shortest
-        pick = vals.argmax(axis=1)
-        vs = vals[rows, pick, cols]
+        r = T - t
+        np.add(rin[r : r + D], log_dur, out=vals)
+        vals += np.subtract(rcum[r - 1], rcum[r : r + D], out=seg)
+        best_dur[t] = vals.argmax(axis=0, out=pick)  # a tie resolves to the shortest segment
+        pick *= N * K
+        pick += cells
+        vals.take(pick, out=vs)
         if t >= done:
             final[t == lengths - 1] = vs[t == lengths - 1]
-        best_dur[:, t] = pick + 1
-        scores = vs[:, None, :] + into  # (N, next, previous): argmax runs along memory
-        prev_state[:, t + 1] = prev = scores.argmax(axis=2)
-        best_in[:, t + 1] = scores[rows, cols, prev]
+        np.add(vs[:, None, :], into, out=scores)  # argmax runs along memory
+        prev_state[t + 1] = scores.argmax(axis=2, out=pick)
+        pick += rows
+        scores.take(pick, out=rin[r - 1])
 
     paths = []
-    for n, length in enumerate(lengths):
-        path = np.empty(length, dtype=np.int64)
+    for n, length in enumerate(lengths.tolist()):  # one scalar read a segment
+        path, durs, prevs = np.empty(length, dtype=np.int64), best_dur[:, n], prev_state[:, n]
         k, t = int(np.argmax(final[n])), length - 1
         while t >= 0:
-            s = t - int(best_dur[n, t, k]) + 1
+            s = t - durs.item(t, k)
             path[s : t + 1] = k
-            k = int(prev_state[n, s, k])  # unused once s == 0
+            k = prevs.item(s, k)  # unused once s == 0
             t = s - 1
         paths.append(path)
     return paths, final.max(axis=1)
@@ -241,7 +254,8 @@ def scaled_messages(hsmm: Hsmm, X, lengths, log_dur, stats: bool):
             wt = w[t % rows, D - (t + 1 - lo) :]
             np.add.reduce(np.multiply(msg[lo : t + 1], wt, out=wt), axis=0, out=sums[t])
             c = np.add.reduce(sums[t], axis=1, out=mass[t])
-            if c.min() < LOW or c.max() > HIGH:
+            masses = c.tolist()  # finite and >= 0: Python's min and max read them as numpy's would
+            if min(masses) < LOW or max(masses) > HIGH:
                 r = np.flatnonzero(((c < LOW) | (c > HIGH)) & live[t])
                 if len(r):
                     if not np.all(c[r] > GUARD * np.add.reduce(msg[lo : t + 1, r], axis=(0, 2))):
