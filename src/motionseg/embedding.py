@@ -130,8 +130,8 @@ def npairs_loss(anchors, positives, labels):
 # triplet samplers
 
 
-def sample_triplets_supervised(labels, rng) -> list[tuple[int, int, int]]:
-    """Index triples (anchor, positive, negative) within one labeled batch.
+def sample_triplets_supervised(labels, rng) -> np.ndarray:
+    """Index triples within one labeled batch: (M, 3) int64 rows (anchor, positive, negative).
 
     Every frame with at least one same-label partner anchors one triplet;
     positives share the anchor's label, negatives never do.
@@ -149,7 +149,7 @@ def sample_triplets_supervised(labels, rng) -> list[tuple[int, int, int]]:
     anchors = np.flatnonzero(counts[inv] >= 2)
     if anchors.size == 0:
         warnings.warn("no valid triplets: every label occurs once", stacklevel=2)
-        return []
+        return np.empty((0, 3), np.int64)
     # members grouped by label, ascending within a label; rank = place in its group
     by_label = np.argsort(inv, kind="stable")
     starts = np.cumsum(counts) - counts
@@ -166,13 +166,13 @@ def sample_triplets_supervised(labels, rng) -> list[tuple[int, int, int]]:
     kp += kp >= rank[anchors]  # skip the anchor itself among its label's members
     pos = by_label[starts[la] + kp]
     neg = non_members[la, draws[1::2]]
-    return list(zip(anchors.tolist(), pos.tolist(), neg.tolist()))
+    return np.stack([anchors, pos, neg], axis=1)
 
 
 def sample_triplets_time_contrastive(
     length: int, pos_window: int, neg_window: int, rng, n_triplets: int
-) -> list[tuple[int, int, int]]:
-    """Window-based triples within one demonstration of the given length.
+) -> np.ndarray:
+    """Window-based triples within one demonstration: (n_triplets, 3) int64 rows (anchor, positive, negative).
 
     Positives land within +-pos_window of the anchor, negatives strictly
     outside +-neg_window; anchors that admit no negative are excluded. Ranks
@@ -191,8 +191,8 @@ def sample_triplets_time_contrastive(
         left = max(0, t - neg_window)  # negatives 0 .. left - 1, then t + neg_window + 1 ..
         kp, kn = [int(rng.integers(0, n)) for n in (hi - lo, left + max(0, length - 1 - t - neg_window))]
         pos = lo + kp + (lo + kp >= t)  # skip the anchor itself
-        triplets.append((t, pos, kn if kn < left else kn - left + t + neg_window + 1))
-    return triplets
+        triplets += t, pos, kn if kn < left else kn - left + t + neg_window + 1
+    return np.array(triplets, dtype=np.int64).reshape(-1, 3)
 
 
 def sample_npairs(labels, rng):

@@ -228,13 +228,24 @@ def optimizer_step(params: list, grads: list, state: OptimizerState) -> list:
 # normalization and gradient checking
 
 
-def l2_normalize_rows(x) -> np.ndarray:
-    """Unit-normalize each row; rows with norm <= NORM_FLOOR map to the basis vector e1."""
+def _unit_rows(x):
+    """(x / ||x||, ||x||, dead) by row of x as 2-D float64; dead rows (norm <= NORM_FLOOR)
+    read norm 1, and a finite row whose norm overflows m * ||x / m||, m = max |x|."""
     x = np.asarray(np.atleast_2d(x), dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+        if np.isinf(norms).any():
+            big = np.flatnonzero(np.isinf(norms) & np.isfinite(x).all(axis=1))
+            m = np.abs(x[big]).max(axis=1, keepdims=True)
+            norms[big] = m[:, 0] * np.linalg.norm(x[big] / m, axis=1)
     dead = norms <= NORM_FLOOR
     safe = np.where(dead, 1.0, norms)
-    out = x / safe[:, None]
+    return x / safe[:, None], safe, dead
+
+
+def l2_normalize_rows(x) -> np.ndarray:
+    """Unit-normalize each row; rows with norm <= NORM_FLOOR map to the basis vector e1."""
+    out, _, dead = _unit_rows(x)
     if np.any(dead):
         out[dead] = 0.0
         out[dead, 0] = 1.0
@@ -247,12 +258,8 @@ def l2_normalize_rows_backward(x, grad_out) -> np.ndarray:
     Degenerate rows (norm <= NORM_FLOOR) produce a constant output, so their
     gradient is zero.
     """
-    x = np.asarray(np.atleast_2d(x), dtype=np.float64)
+    xi, safe, dead = _unit_rows(x)
     g = np.atleast_2d(grad_out)
-    norms = np.linalg.norm(x, axis=1)
-    dead = norms <= NORM_FLOOR
-    safe = np.where(dead, 1.0, norms)
-    xi = x / safe[:, None]
     dots = np.sum(xi * g, axis=1, keepdims=True)
     grad = (g - xi * dots) / safe[:, None]
     grad[dead] = 0.0

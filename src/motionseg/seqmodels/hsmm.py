@@ -12,7 +12,8 @@ probability space with rescaled messages (Yu and Kobayashi 2006, "Practical
 implementation of an efficient forward-backward algorithm for an
 explicit-duration hidden Markov model"), falling back to an exact logsumexp
 loop in log space where that cannot vouch for its result; Viterbi runs in
-log space. Duration counts follow the loop: they need the log-likelihood.
+log space. EM reads the transition counts off the log forward sums and
+refits each duration rate from the state's expected segments and frames.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from . import chain
 from .chain import LOG_EPS, logsumexp
 from .hmm import em_fit, emission_log_probs, hold_gaussian_states, init_gaussian_hmm, transition_m_step
 
-# exp of anything below about -708 is subnormal or 0, and numpy computes it
-# 15-170x slower than in range; e^-700 < 1e-304 cannot move a sum that holds
-# a term of 1, nor a duration count by more than 1e-300
+# exp of anything below about -708 is subnormal or 0, and numpy computes it 15-170x
+# slower than in range; e^-700 < 1e-304 cannot move a sum that holds a term of 1
 EXP_FLOOR = -700.0
 # the probability-space recursions (scaled_messages): weights below e^FLUSH are
 # 0, as exp below about -708 is slow and products with them go subnormal; a
@@ -170,21 +170,22 @@ def hsmm_viterbi(hsmm: Hsmm, X) -> tuple[np.ndarray, float]:
 
 def _posteriors(hsmm: Hsmm, X, lengths, stats: bool = True):
     """Batched E-step over the sequences stacked in X: logliks (N,) and gamma
-    (N, T, K), then with stats xi (K, K) and dur_counts (K, d_max) summed over them."""
+    (N, T, K), then with stats, summed over them, xi (K, K) and each state's
+    expected segments (K,) and frames (K,), as every frame lies in one segment."""
     log_dur, log_A = duration_log_pmf(hsmm.lambdas, hsmm.d_max), chain.log_clip(hsmm.A)
     found = scaled_messages(hsmm, X, lengths, log_dur, stats)
     if found is None:
         cumb, _, log_pi, _ = _segment_scores(hsmm, X, lengths)
         found = log_messages(cumb, log_dur, log_pi, log_A, lengths)
-    loglik, starts, ends, head, ls, rtail = found
+    loglik, starts, ends, ls = found
     if stats:
-        xi, dur_counts = _segment_stats(head, ls, rtail, starts, log_dur, log_A)
+        xi, segments = chain.pair_sum(ls, starts, log_A), starts.sum(axis=(0, 1))
     # P(k at t) = P(a segment of k started by t) - P(one ended before t)
     gamma = np.cumsum(starts, axis=1, out=starts)
     gamma[:, 1:] -= np.cumsum(ends, axis=1, out=ends)[:, :-1]
     np.maximum(gamma, 0.0, out=gamma)
     gamma[~chain.valid(lengths, gamma.shape[1])] = 0.0
-    return (loglik, gamma, xi, dur_counts) if stats else (loglik, gamma)
+    return (loglik, gamma, xi, segments, gamma.sum(axis=(0, 1))) if stats else (loglik, gamma)
 
 
 def scaled_messages(hsmm: Hsmm, X, lengths, log_dur, stats: bool):
@@ -200,8 +201,8 @@ def scaled_messages(hsmm: Hsmm, X, lengths, log_dur, stats: bool):
     read, so each window shares one scale. None when a step's sum is not above
     GUARD times the mass of its window, where a flushed weight may have mattered.
 
-    Returns (loglik, starts, ends, head, ls, rtail) as log_messages does, the
-    three log tables only with stats; all but ls are views of time-major tables."""
+    Returns (loglik, starts, ends, ls) as log_messages does, ls only with stats
+    (else None); starts and ends are views of time-major tables."""
     u = chain.pad(emission_log_probs(hsmm, X), lengths).transpose(1, 0, 2)  # (T, N, K)
     T, N, K = u.shape
     D, last, n = min(hsmm.d_max, T), lengths - 1, np.arange(len(lengths))
@@ -296,29 +297,14 @@ def scaled_messages(hsmm: Hsmm, X, lengths, log_dur, stats: bool):
         if restarts:
             starts[~ok] = 0.0
             ends[~ok] = 0.0
-        if not stats:
-            return loglik, starts.transpose(1, 0, 2), ends.transpose(1, 0, 2), None, None, None
-        # head (less loglik) and rtail (tail reversed in time, LOG_EPS past each
-        # sequence's end) of log_messages, over the messages
-        head, rtail = msg[:, :N], msg[:, N:]
-        for table in (head, rtail):
-            np.log(table, out=table)
-            np.maximum(table, LOG_EPS, out=table)
-        head += (held[:, :N] - loglik)[:, :, None]
-        head -= cs[:T]
-        rtail += (held[:, N:] + total)[:, :, None]
-        rtail += cs[T:0:-1]
-        if restarts:
-            head[~ok] = LOG_EPS
-            rtail[~ok[::-1]] = LOG_EPS
-    return loglik, *(a.transpose(1, 0, 2) for a in (starts, ends, head)), ls, rtail.transpose(1, 0, 2)
+    return loglik, starts.transpose(1, 0, 2), ends.transpose(1, 0, 2), ls if stats else None
 
 
 def log_messages(cumb, log_dur, log_pi, log_A, lengths):
     """The forward and backward recursions with messages in log space, the
     fallback of scaled_messages: (loglik (N,), then the posteriors of the
-    segments starting and ending at each frame (N, T, K), then the log tables
-    head (less loglik), ls and rtail that _segment_stats reads)."""
+    segments starting and ending at each frame (N, T, K), then ls, the log sums
+    of the forward messages by end (N, T, K))."""
     N, T, K = cumb.shape[0], cumb.shape[1] - 1, cumb.shape[2]
     D, last = min(log_dur.shape[1], T), lengths - 1
     # A segment [s, e] scores head[:, s] + log_dur + tail[:, e]: the path up to s
@@ -361,29 +347,7 @@ def log_messages(cumb, log_dur, log_pi, log_A, lengths):
     ends += rtail[:, ::-1]
     ends -= loglik[:, None, None]
     np.exp(ends, out=ends)
-    return loglik, starts, ends, head, ls, rtail
-
-
-def _segment_stats(head, ls, rtail, starts, log_dur, log_A):
-    """xi (K, K) and dur_counts (K, d_max) from the log tables of the messages;
-    ls is reused in place."""
-    N, T, K = head.shape
-    D = min(log_dur.shape[1], T)
-    xi = chain.pair_sum(ls, starts, log_A)
-    # a segment of duration d that starts at s = T - 1 - u scores
-    # rev_head[:, u] + log_dur + rtail[:, u - d + 1]; seg reuses head's table
-    # where head is contiguous
-    rev_head = ls
-    rev_head[:] = head[:, ::-1]
-    flat, ones = head.reshape(-1), np.ones(N * T)
-    dur_counts = np.zeros((K, log_dur.shape[1]))
-    for d in range(1, D + 1):
-        seg = flat[: N * (T - d + 1) * K].reshape(N, T - d + 1, K)
-        np.add(rev_head[:, d - 1 :], rtail[:, : T - d + 1], out=seg)
-        seg += log_dur[:, d - 1]
-        np.maximum(seg, EXP_FLOOR, out=seg)
-        dur_counts[:, d - 1] = ones[: N * (T - d + 1)] @ np.exp(seg, out=seg).reshape(-1, K)
-    return xi, dur_counts
+    return loglik, starts, ends, ls
 
 
 def hsmm_posteriors(hsmm: Hsmm, X):
@@ -392,15 +356,14 @@ def hsmm_posteriors(hsmm: Hsmm, X):
     return float(loglik[0]), gamma[0]
 
 
-def _refit(hsmm: Hsmm, pi, means, covs, xi, dur_counts) -> Hsmm:
+def _refit(hsmm: Hsmm, pi, means, covs, xi, segments, frames) -> Hsmm:
     K, A = hsmm.n_states, np.zeros((1, 1))
     if K > 1:
         np.fill_diagonal(xi, 0.0)
         A = transition_m_step(xi, (1.0 - np.eye(K)) / (K - 1), 1e-12)
         A /= A.sum(axis=1, keepdims=True)  # a second pass, kept: without it A moves by ~1e-13
-    mass = dur_counts.sum(axis=1)
-    mean_dur = dur_counts @ np.arange(1, hsmm.d_max + 1) / np.maximum(mass, 1e-300)
-    lambdas = np.where(mass > 1e-12, fit_truncated_poisson(mean_dur, hsmm.d_max), hsmm.lambdas)
+    mean_dur = frames / np.maximum(segments, 1e-300)  # all a truncated Poisson's rate reads
+    lambdas = np.where(segments > 1e-12, fit_truncated_poisson(mean_dur, hsmm.d_max), hsmm.lambdas)
     return Hsmm(pi=pi, A=A, means=means, covs=covs, lambdas=lambdas, d_max=hsmm.d_max)
 
 

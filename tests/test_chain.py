@@ -167,7 +167,7 @@ def test_hsmm_batch_matches_enumeration(lengths, seed):
     rng = np.random.default_rng(seed)
     hsmm = random_hsmm(K=2, d=2, d_max=3, rng=rng)
     seqs = [rng.normal(size=(n, 2)) for n in lengths]
-    loglik, gamma, xi, dur = hsmm_batch_posteriors(hsmm, *chain.stack(seqs))
+    loglik, gamma, *stats = hsmm_batch_posteriors(hsmm, *chain.stack(seqs))
     paths, best = hsmm_viterbi_batch(hsmm, seqs)
     singles = [hsmm_batch_posteriors(hsmm, *chain.stack([X])) for X in seqs]
     for n, X in enumerate(seqs):
@@ -177,13 +177,14 @@ def test_hsmm_batch_matches_enumeration(lengths, seed):
         np.testing.assert_array_equal(paths[n], best_path)
         np.testing.assert_allclose(gamma[n, : len(X)], singles[n][1][0], atol=1e-10)
         np.testing.assert_allclose(gamma[n, : len(X)].sum(axis=1), 1.0, atol=1e-9)
-    for batched, parts in zip((xi, dur), zip(*(s[2:] for s in singles))):
+    for batched, parts in zip(stats, zip(*(s[2:] for s in singles))):  # xi, segments, frames
         np.testing.assert_allclose(batched, sum(parts), atol=1e-9)
 
 
 def two_loop_posteriors(hsmm, X, lengths):
     """The HSMM E-step as it was before one loop carried both directions: a
-    forward loop, then a backward loop that adds up the duration counts."""
+    forward loop, then a backward loop that adds up the duration counts. Returns
+    their row sums and first moments, the expected segments and frames of each state."""
     cumb, log_dur, log_pi, log_A = _segment_scores(hsmm, X, lengths)
     N, T, K = cumb.shape[0], cumb.shape[1] - 1, cumb.shape[2]
     D = min(hsmm.d_max, T)
@@ -220,7 +221,7 @@ def two_loop_posteriors(hsmm, X, lengths):
     gamma[:, 1:] -= np.cumsum(ends, axis=1)[:, :-1]
     np.maximum(gamma, 0.0, out=gamma)
     gamma[~chain.valid(lengths, T)] = 0.0
-    return loglik, gamma, xi, dur_counts
+    return loglik, gamma, xi, dur_counts.sum(axis=1), dur_counts @ np.arange(1, hsmm.d_max + 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -248,7 +249,7 @@ def test_hsmm_one_loop_posteriors_match_two_loops(lengths, K, d_max, seed, scale
                 lambdas=hsmm.lambdas, d_max=d_max)
     X, lens = chain.stack([rng.normal(size=(n, 2)) * scale for n in lengths])
     got, want = hsmm_batch_posteriors(hsmm, X, lens), two_loop_posteriors(hsmm, X, lens)
-    for name, a, b in zip(("loglik", "gamma", "xi", "dur_counts"), got, want):
+    for name, a, b in zip(("loglik", "gamma", "xi", "segments", "frames"), got, want, strict=True):
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10, err_msg=name)
 
 
@@ -305,10 +306,8 @@ def test_scaled_hsmm_matches_log_loop(lengths, K, d_max, seed):
     np.testing.assert_allclose(scaled[0], logged[0], rtol=1e-9, err_msg="loglik")
     for name, a, b in zip(("starts", "ends"), scaled[1:3], logged[1:3]):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9, err_msg=name)
-    for name, a, b in zip(("xi", "dur_counts"),
-                          hsmm_module._segment_stats(*scaled[3:], scaled[1], log_dur, log_A),
-                          hsmm_module._segment_stats(*logged[3:], logged[1], log_dur, log_A)):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-9, err_msg=name)
+    np.testing.assert_allclose(chain.pair_sum(scaled[3], scaled[1], log_A),
+                               chain.pair_sum(logged[3], logged[1], log_A), rtol=0, atol=1e-9, err_msg="xi")
 
 
 def counting(monkeypatch, module, name):
@@ -456,7 +455,7 @@ def hsmm_em_fit_loop(sequences, K, iterations, seed, d_max):
     X, lengths = chain.stack(seqs)
     trace = []
     for _ in range(iterations):
-        loglik, gamma, xi_acc, dur_acc = hsmm_batch_posteriors(hsmm, X, lengths)
+        loglik, gamma, xi_acc, segments, frames = hsmm_batch_posteriors(hsmm, X, lengths)
         trace.append(float(loglik.sum()))
         rho_acc = gamma[:, 0].sum(axis=0)
         means, covs = gaussian_m_step(X, gamma[chain.valid(lengths, gamma.shape[1])])
@@ -472,9 +471,8 @@ def hsmm_em_fit_loop(sequences, K, iterations, seed, d_max):
             A /= A.sum(axis=1, keepdims=True)
         else:
             A = np.zeros((1, 1))
-        mass = dur_acc.sum(axis=1)
-        mean_dur = dur_acc @ np.arange(1, d_max + 1) / np.maximum(mass, 1e-300)
-        lambdas = np.where(mass > 1e-12, fit_truncated_poisson(mean_dur, d_max), hsmm.lambdas)
+        mean_dur = frames / np.maximum(segments, 1e-300)
+        lambdas = np.where(segments > 1e-12, fit_truncated_poisson(mean_dur, d_max), hsmm.lambdas)
         hsmm = Hsmm(pi=pi, A=A, means=means, covs=covs, lambdas=lambdas, d_max=d_max)
     trace.append(float(hsmm_batch_posteriors(hsmm, X, lengths)[0].sum()))
     return hsmm, trace

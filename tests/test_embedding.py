@@ -123,13 +123,14 @@ class TestSamplers:
     def test_three_frame_batch_enumerates_exactly(self):
         rng = np.random.default_rng(0)
         triplets = sample_triplets_supervised(np.array([1, 1, 2]), rng)
-        assert sorted(triplets) == [(0, 1, 2), (1, 0, 2)]
+        assert triplets.dtype == np.int64
+        assert sorted(triplets.tolist()) == [[0, 1, 2], [1, 0, 2]]
 
     def test_one_frame_per_label_warns_and_returns_empty(self):
         rng = np.random.default_rng(0)
         with pytest.warns(UserWarning):
             triplets = sample_triplets_supervised(np.array([1, 2, 3]), rng)
-        assert triplets == []
+        assert triplets.shape == (0, 3) and triplets.dtype == np.int64
 
     def test_single_label_batch_rejected(self):
         with pytest.raises(DegenerateBatchError):
@@ -139,7 +140,7 @@ class TestSamplers:
         rng = np.random.default_rng(3)
         labels = rng.integers(1, 6, size=128)
         triplets = sample_triplets_supervised(labels, rng)
-        assert triplets
+        assert len(triplets)
         for a, p, n in triplets:
             assert labels[a] == labels[p] and labels[a] != labels[n] and a != p
 
@@ -148,7 +149,7 @@ class TestSamplers:
         triplets = sample_triplets_time_contrastive(
             length=200, pos_window=6, neg_window=12, rng=rng, n_triplets=1000
         )
-        assert len(triplets) == 1000
+        assert triplets.shape == (1000, 3) and triplets.dtype == np.int64
         for a, p, n in triplets:
             assert p != a and abs(p - a) <= 6
             assert abs(n - a) > 12
@@ -202,7 +203,8 @@ def test_supervised_sampler_reproduces_per_anchor_draws(labels, seed):
         warnings.simplefilter("ignore")  # batches where every label occurs once
         expected = per_anchor_triplets(labels, rng_ref)
         got = sample_triplets_supervised(labels, rng)
-    assert got == expected
+    assert got.shape == (len(expected), 3) and got.dtype == np.int64
+    assert got.tolist() == [list(triplet) for triplet in expected]
     assert rng.random() == rng_ref.random()  # the generator advanced identically
 
 
@@ -231,7 +233,9 @@ def test_window_sampler_reproduces_list_based_draws(neg_window, pos_window, extr
     length = max(2, 2 * neg_window + 1 + extra)
     rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     expected = list_based_window_triplets(length, pos_window, neg_window, rng_ref, count)
-    assert sample_triplets_time_contrastive(length, pos_window, neg_window, rng, count) == expected
+    got = sample_triplets_time_contrastive(length, pos_window, neg_window, rng, count)
+    assert got.shape == (count, 3) and got.dtype == np.int64
+    assert got.tolist() == [list(triplet) for triplet in expected]
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -255,6 +259,15 @@ class TestEncode:
         enc = new_encoder(6, dim=4, hidden=(8,), seed=0)
         emb = encode_array(enc, np.arange(6.0))[0]
         assert abs(np.linalg.norm(emb) - 1.0) < 1e-9
+
+    def test_huge_finite_features_still_encode_to_unit_rows(self):
+        enc = new_encoder(6, 4, [8], seed=0)
+        F = np.ones((2, 6))
+        F[1] = 1e200  # the encoder output's squared norm overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = encode_array(enc, F)
+        np.testing.assert_allclose(np.linalg.norm(E, axis=1), 1.0, atol=1e-12)
 
     def test_identical_frames_identical_embeddings(self):
         enc = new_encoder(5, dim=3, hidden=(7,), seed=1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from motionseg.errors import DegenerateDatasetError
+from motionseg.seqmodels import chain
 from motionseg.seqmodels import hsmm as hsmm_module
 from motionseg.seqmodels.hmm import GaussianHmm, emission_log_probs, hmm_viterbi
 from motionseg.seqmodels.hsmm import (
@@ -43,8 +44,8 @@ def compositions(total, max_part):
             yield [first] + rest
 
 
-def enumerate_segmentations(hsmm, X):
-    """Oracle: total and best log-probability over every valid segmentation."""
+def segmentations(hsmm, X):
+    """Every valid segmentation of X as (log-probability, states, durations)."""
     logb = emission_log_probs(hsmm, X)
     T, K = logb.shape
     log_dur = duration_log_pmf(hsmm.lambdas, hsmm.d_max)
@@ -67,6 +68,12 @@ def enumerate_segmentations(hsmm, X):
                 t += d
                 prev = state
             scores.append((s, states, durs))
+    return scores
+
+
+def enumerate_segmentations(hsmm, X):
+    """Oracle: total and best log-probability over every valid segmentation."""
+    scores = segmentations(hsmm, X)
     arr = np.array([s for s, _, _ in scores])
     m = arr.max()
     total = m + np.log(np.sum(np.exp(arr - m)))
@@ -82,6 +89,37 @@ def test_loglik_matches_segmentation_enumeration():
         X = rng.normal(size=(5, 2))
         oracle, _, _ = enumerate_segmentations(hsmm, X)
         assert abs(hsmm_loglik(hsmm, X) - oracle) < 1e-9
+
+
+def enumerate_statistics(hsmm, X):
+    """Oracle for the E-step statistics: the expected segments (K,) and frames
+    (K,) of each state and the expected transitions (K, K), each segmentation
+    weighted by its posterior."""
+    scores = segmentations(hsmm, X)
+    weights = np.exp(np.array([s for s, _, _ in scores]) - max(s for s, _, _ in scores))
+    weights /= weights.sum()
+    K = hsmm.n_states
+    segments, frames, xi = np.zeros(K), np.zeros(K), np.zeros((K, K))
+    for weight, (_, states, durs) in zip(weights, scores):
+        for state, d in zip(states, durs):
+            segments[state] += weight
+            frames[state] += weight * d
+        for a, b in zip(states, states[1:]):
+            xi[a, b] += weight
+    return segments, frames, xi
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_e_step_statistics_match_segmentation_enumeration(seed):
+    rng = np.random.default_rng(seed)
+    K, d_max = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    longest = d_max if K == 1 else 6  # one state explains no sequence longer than d_max
+    hsmm = random_hsmm(K=K, d=2, d_max=d_max, rng=rng)
+    seqs = [rng.normal(size=(int(n), 2)) for n in rng.integers(1, longest + 1, size=rng.integers(1, 4))]
+    _, _, xi, segments, frames = hsmm_module._posteriors(hsmm, *chain.stack(seqs), stats=True)
+    want = [sum(parts) for parts in zip(*(enumerate_statistics(hsmm, X) for X in seqs))]
+    for name, got, oracle in zip(("segments", "frames", "xi"), (segments, frames, xi), want):
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-9, err_msg=name)
 
 
 def test_viterbi_matches_segmentation_enumeration():

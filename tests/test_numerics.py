@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -330,6 +332,20 @@ def test_l2_normalize_degenerate_maps_to_e1():
     np.testing.assert_array_equal(out, [1.0, 0.0, 0.0, 0.0])
     out = l2_normalize_rows(np.full(3, 1e-15))[0]
     np.testing.assert_array_equal(out, [1.0, 0.0, 0.0])
+
+
+def test_l2_normalize_rescues_rows_whose_norm_overflows():
+    # the squares of 1e300 overflow; the row still has the finite norm sqrt(2) * 1e300
+    x = np.array([[1e300, 1e300], [3.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = l2_normalize_rows(x)
+        grad = numerics.l2_normalize_rows_backward(x, np.array([[1.0, 0.0], [0.0, 1.0]]))
+    np.testing.assert_allclose(out[0], [np.sqrt(0.5), np.sqrt(0.5)], rtol=1e-15)
+    np.testing.assert_array_equal(out[1], l2_normalize_rows(np.array([3.0, 4.0]))[0])
+    assert np.isfinite(grad).all() and np.abs(grad[0]).max() > 0
+    direction = grad[0] / np.abs(grad[0]).max()  # of order 1e-300 itself
+    assert abs(direction @ out[0]) <= 1e-12  # orthogonal to the row
 
 
 @settings(max_examples=100, deadline=None)
